@@ -27,7 +27,7 @@ for k in range(1, 41):
     all_feats.append(feats)
     all_weights.append(weights)
     if k in (1, 5, 40):
-        masses = [f"{m.weight:7.1f}" for m in gmm.modes]
+        masses = [f"{m:7.1f}" for m in gmm.mass]
         print(f"batch {k:3d}: class masses {' '.join(masses)}, "
               f"footprint {gmm.memory_footprint()}")
 
@@ -36,10 +36,10 @@ weights = np.vstack(all_weights)
 print("\nstreaming mean vs one-pass weighted mean:")
 for c in range(n_classes):
     oracle = (weights[:, c] @ feats) / weights[:, c].sum()
-    err = np.linalg.norm(gmm.modes[c].mean - oracle)
+    err = np.linalg.norm(gmm.means[c] - oracle)
     print(f"  class {c}: |streaming - one-pass| = {err:.2e}")
 
 x = centers[0] + 0.1 * rng.standard_normal(dim)
-logp = gmm.class_log_likelihoods(x)
+logp = gmm.class_log_likelihoods_batch(x[None, :])[0]
 print(f"\nlog-likelihoods of a class-0 sample: {np.round(logp, 2)}")
 print(f"argmax class: {int(np.argmax(logp))}")

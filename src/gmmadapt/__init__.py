@@ -6,7 +6,7 @@ synthetic feature-stream simulator.
 """
 
 from .config import RunConfig, default_config, load_config
-from .gmm_stream import GaussianMixtureStream, ModeState
+from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, h_score, memory_report, score_batch
 from .objectives import combined_loss, contrastive_loss, kld_loss
 from .ood_gate import DISCARDED, ThresholdState, normalized_entropy, normalized_entropy_rows
@@ -22,7 +22,6 @@ __all__ = [
     "ForwardCache",
     "GaussianMixtureStream",
     "MemoryModelInputs",
-    "ModeState",
     "OptimizerConfig",
     "RunConfig",
     "RunRecord",

@@ -15,13 +15,19 @@ The recursion for the mean is exactly a cumulative weighted mean over all
 samples ever seen; the covariance recursion is the method as defined, not
 the pooled scatter (for a fresh mode the two coincide).
 
-State size is independent of how many batches were processed: per mode one
-mean vector, one packed covariance triangle, one scalar mass.
+The whole state is three arrays, independent of how many batches were
+processed: ``means`` (C, d), ``cov_packed`` (C, P) holding each packed
+covariance triangle (P = d(d+1)/2) and ``mass`` (C,). A mode with mass 0
+has never received mass; its mean and covariance are zero placeholders
+and it is skipped everywhere. Work runs over blocks of at most BLOCK
+classes: one stacked scatter per block in ``update``, one stacked
+Cholesky per block in the likelihoods. Cholesky factors live only inside
+one likelihood call and are never stored, so the state is exactly what
+``memory_footprint`` counts.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,33 +36,15 @@ from .errors import DimensionMismatch, NoInitializedMode, NonFiniteInput
 
 SNAPSHOT_VERSION = 1
 
+# Classes per stacked scatter or Cholesky. Bounds the transient dense
+# (BLOCK, d, d) stacks, several of which are live at once: at d = 64 each
+# is 2 MB, where one stack of all 345 classes would be 11 MB.
+BLOCK = 64
 
-@dataclass
-class ModeState:
-    """One Gaussian mode: mean, packed covariance, cumulative soft mass.
 
-    weight == 0 means the mode has never received mass; mean and cov are
-    then all-zero placeholders and the mode is skipped everywhere.
-    chol_cache holds the lower Cholesky factor of cov (with jitter) as of
-    the most recent update that touched this mode.
-    """
-
-    mean: np.ndarray
-    cov: linalg.SymMat
-    weight: float = 0.0
-    chol_cache: np.ndarray | None = field(default=None, repr=False)
-
-    @classmethod
-    def empty(cls, dim: int) -> "ModeState":
-        return cls(mean=np.zeros(dim), cov=linalg.SymMat.zeros(dim), weight=0.0)
-
-    @property
-    def initialized(self) -> bool:
-        return self.weight > 0.0
-
-    def copy(self) -> "ModeState":
-        chol = None if self.chol_cache is None else self.chol_cache.copy()
-        return ModeState(self.mean.copy(), self.cov.copy(), self.weight, chol)
+def _blocks(classes: np.ndarray):
+    for start in range(0, classes.size, BLOCK):
+        yield classes[start:start + BLOCK]
 
 
 class GaussianMixtureStream:
@@ -77,42 +65,16 @@ class GaussianMixtureStream:
         self.dim = dim
         self.jitter = float(jitter)
         self.batch_counter = 0
-        self.modes = [ModeState.empty(dim) for _ in range(n_classes)]
-
-    @classmethod
-    def with_prior(
-        cls,
-        means: np.ndarray,
-        covs: list[linalg.SymMat],
-        weights: np.ndarray,
-        jitter: float = 1e-6,
-    ) -> "GaussianMixtureStream":
-        """Start from prior parameters instead of empty modes.
-
-        A prior mode with weight 0 stays uninitialized regardless of the
-        supplied mean/covariance.
-        """
-        means = np.asarray(means, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        n_classes, dim = means.shape
-        if len(covs) != n_classes or weights.shape != (n_classes,):
-            raise DimensionMismatch("means, covs and weights must agree on the class count")
-        if np.any(weights < 0):
-            raise ValueError("prior weights must be nonnegative")
-        state = cls(n_classes, dim, jitter)
-        for c in range(n_classes):
-            if weights[c] > 0:
-                mode = state.modes[c]
-                mode.mean = means[c].copy()
-                mode.cov = covs[c].copy()
-                mode.weight = float(weights[c])
-                mode.chol_cache = linalg.cholesky(mode.cov, state.jitter)
-        return state
+        self.means = np.zeros((n_classes, dim))
+        self.cov_packed = np.zeros((n_classes, linalg.packed_size(dim)))
+        self.mass = np.zeros(n_classes)
 
     def copy(self) -> "GaussianMixtureStream":
         dup = GaussianMixtureStream(self.n_classes, self.dim, self.jitter)
         dup.batch_counter = self.batch_counter
-        dup.modes = [m.copy() for m in self.modes]
+        dup.means = self.means.copy()
+        dup.cov_packed = self.cov_packed.copy()
+        dup.mass = self.mass.copy()
         return dup
 
     def update(self, feats: np.ndarray, weights: np.ndarray) -> "GaussianMixtureStream":
@@ -146,41 +108,36 @@ class GaussianMixtureStream:
 
         batch_mass = weights.sum(axis=0)
         weighted_sums = weights.T @ feats
-        for c in range(self.n_classes):
-            m_c = batch_mass[c]
-            if m_c <= 0.0:
-                continue
-            mode = self.modes[c]
-            s_prev = mode.weight
-            s_new = s_prev + m_c
-            new_mean = (s_prev * mode.mean + weighted_sums[c]) / s_new
-            scatter = linalg.weighted_scatter(feats, weights[:, c], new_mean)
-            new_cov = linalg.SymMat(self.dim, (s_prev * mode.cov.packed + scatter.packed) / s_new)
-            mode.mean = new_mean
-            mode.cov = new_cov
-            mode.weight = s_new
-            mode.chol_cache = linalg.cholesky(new_cov, self.jitter)
+        for block in _blocks(np.flatnonzero(batch_mass > 0.0)):
+            s_prev = self.mass[block, None]
+            s_new = s_prev + batch_mass[block, None]
+            new_means = (s_prev * self.means[block] + weighted_sums[block]) / s_new
+            scatter = linalg.weighted_scatter(feats, weights[:, block], new_means)
+            self.cov_packed[block] = (s_prev * self.cov_packed[block] + scatter) / s_new
+            self.means[block] = new_means
+            self.mass[block] = s_new[:, 0]
         self.batch_counter += 1
         return self
 
-    def class_log_likelihoods(self, feat: np.ndarray) -> np.ndarray:
-        """log p(feat | c) per class; -inf for modes that never received mass."""
-        return self.class_log_likelihoods_batch(np.asarray(feat, dtype=np.float64)[None, :])[0]
-
     def class_log_likelihoods_batch(self, feats: np.ndarray) -> np.ndarray:
-        """Row-wise class log-densities, shape (n, n_classes)."""
+        """Row-wise class log-densities, shape (n, n_classes).
+
+        -inf for modes that never received mass. Each block of modes is
+        factored here, with the mixture's jitter, and the factors are
+        dropped on return.
+        """
         feats = np.asarray(feats, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[1] != self.dim:
             raise DimensionMismatch(f"feats shape {feats.shape}, expected (n, {self.dim})")
-        if not any(m.initialized for m in self.modes):
+        if not np.all(np.isfinite(feats)):
+            raise NonFiniteInput("feats contain non-finite values")
+        live = np.flatnonzero(self.mass > 0.0)
+        if live.size == 0:
             raise NoInitializedMode("no mode has received mass yet")
         out = np.full((feats.shape[0], self.n_classes), -np.inf)
-        for c, mode in enumerate(self.modes):
-            if not mode.initialized:
-                continue
-            if mode.chol_cache is None:
-                mode.chol_cache = linalg.cholesky(mode.cov, self.jitter)
-            out[:, c] = linalg.log_gauss_density_batch(feats, mode.mean, mode.chol_cache)
+        for block in _blocks(live):
+            chols = linalg.cholesky(linalg.unpack(self.cov_packed[block], self.dim), self.jitter)
+            out[:, block] = linalg.log_gauss_density_batch(feats, self.means[block], chols)
         return out
 
     def likelihood_vectors(self, feats: np.ndarray) -> np.ndarray:
@@ -196,10 +153,8 @@ class GaussianMixtureStream:
 
     def prototypes(self) -> tuple[np.ndarray, np.ndarray]:
         """(class indices, means) of all initialized modes."""
-        idx = np.array([c for c, m in enumerate(self.modes) if m.initialized], dtype=int)
-        if idx.size == 0:
-            return idx, np.zeros((0, self.dim))
-        return idx, np.stack([self.modes[c].mean for c in idx])
+        idx = np.flatnonzero(self.mass > 0.0)
+        return idx, self.means[idx]
 
     def memory_footprint(self) -> int:
         """Stored reals: (dim + dim(dim+1)/2 + 1) per class, batch-count free."""
@@ -208,7 +163,6 @@ class GaussianMixtureStream:
     # -- snapshot serialization ------------------------------------------
     # JSON object, field order fixed: format_version, n_classes, dim,
     # jitter, batch_counter, modes. Each mode: weight, mean, cov_packed.
-    # Cholesky caches are rebuilt lazily after load, not stored.
 
     def to_snapshot(self) -> str:
         doc = {
@@ -218,25 +172,41 @@ class GaussianMixtureStream:
             "jitter": self.jitter,
             "batch_counter": self.batch_counter,
             "modes": [
-                {
-                    "weight": m.weight,
-                    "mean": m.mean.tolist(),
-                    "cov_packed": m.cov.packed.tolist(),
-                }
-                for m in self.modes
+                {"weight": weight, "mean": mean, "cov_packed": cov}
+                for weight, mean, cov in zip(
+                    self.mass.tolist(), self.means.tolist(), self.cov_packed.tolist()
+                )
             ],
         }
         return json.dumps(doc)
 
     @classmethod
     def from_snapshot(cls, blob: str) -> "GaussianMixtureStream":
+        """Load a snapshot, rejecting any mode that does not fit the header.
+
+        Raises DimensionMismatch for a mode count other than n_classes or
+        a mean/cov_packed of the wrong length, and NonFiniteInput for a
+        non-finite value or a negative weight.
+        """
         doc = json.loads(blob)
         if doc.get("format_version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {doc.get('format_version')!r}")
         state = cls(doc["n_classes"], doc["dim"], doc["jitter"])
         state.batch_counter = doc["batch_counter"]
-        for mode, entry in zip(state.modes, doc["modes"]):
-            mode.weight = float(entry["weight"])
-            mode.mean = np.asarray(entry["mean"], dtype=np.float64)
-            mode.cov = linalg.SymMat(doc["dim"], np.asarray(entry["cov_packed"], dtype=np.float64))
+        modes = doc["modes"]
+        if len(modes) != state.n_classes:
+            raise DimensionMismatch(f"{len(modes)} modes for {state.n_classes} classes")
+        for key, size in (("mean", state.dim), ("cov_packed", state.cov_packed.shape[1])):
+            for c, entry in enumerate(modes):
+                if len(entry[key]) != size:
+                    raise DimensionMismatch(
+                        f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
+                    )
+        state.mass = np.array([entry["weight"] for entry in modes], dtype=np.float64)
+        state.means = np.array([entry["mean"] for entry in modes], dtype=np.float64)
+        state.cov_packed = np.array([entry["cov_packed"] for entry in modes], dtype=np.float64)
+        if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
+            raise NonFiniteInput("mode weights must be finite and nonnegative")
+        if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):
+            raise NonFiniteInput("mode means and covariances must be finite")
         return state

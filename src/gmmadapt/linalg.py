@@ -1,16 +1,18 @@
-"""Dense linear algebra for the streaming mixture.
+"""Stacked dense linear algebra for the streaming mixture.
 
-Symmetric matrices are kept in packed lower-triangular storage (row-major)
-so that the stored-value count matches the memory model exactly. Gaussian
-log-densities go through Cholesky factors and triangular solves; the
-inverse covariance is never materialized.
+Symmetric matrices are stored as rows of their packed lower triangle
+(row-major: entry (i, j) with j <= i at offset i*(i+1)/2 + j), so that the
+stored-value count matches the memory model exactly. Every function works
+on a stack of matrices at once. Gaussian log-densities go through Cholesky
+factors and triangular solves; the inverse covariance is never
+materialized.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 
@@ -22,92 +24,87 @@ def packed_size(dim: int) -> int:
     return dim * (dim + 1) // 2
 
 
-@dataclass
-class SymMat:
-    """Symmetric matrix stored as its lower triangle, row-major.
+@lru_cache(maxsize=8)
+def _tril_maps(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, scatter) index maps between dense dim x dim and packed rows.
 
-    Entry (i, j) with j <= i lives at offset i*(i+1)/2 + j. Symmetry is
-    structural: only the triangle exists, so it cannot be violated.
+    gather[k] is the flat dense offset of packed entry k; scatter[i*dim+j]
+    is the packed offset of entry (max(i, j), min(i, j)). Built once per
+    dim and read-only, since every caller shares them.
     """
-
-    dim: int
-    packed: np.ndarray
-
-    def __post_init__(self):
-        self.packed = np.asarray(self.packed, dtype=np.float64)
-        if self.packed.shape != (packed_size(self.dim),):
-            raise DimensionMismatch(
-                f"packed storage for dim {self.dim} needs {packed_size(self.dim)} "
-                f"entries, got shape {self.packed.shape}"
-            )
-
-    @classmethod
-    def zeros(cls, dim: int) -> "SymMat":
-        return cls(dim, np.zeros(packed_size(dim)))
-
-    @classmethod
-    def identity(cls, dim: int) -> "SymMat":
-        m = cls.zeros(dim)
-        m.packed[np.arange(dim) * (np.arange(dim) + 3) // 2] = 1.0
-        return m
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray) -> "SymMat":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        dim = a.shape[0]
-        rows, cols = np.tril_indices(dim)
-        return cls(dim, a[rows, cols].copy())
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        rows, cols = np.tril_indices(self.dim)
-        out[rows, cols] = self.packed
-        out[cols, rows] = self.packed
-        return out
-
-    def copy(self) -> "SymMat":
-        return SymMat(self.dim, self.packed.copy())
-
-    def scaled(self, factor: float) -> "SymMat":
-        return SymMat(self.dim, self.packed * factor)
+    rows, cols = np.tril_indices(dim)
+    gather = rows * dim + cols
+    scatter = np.empty((dim, dim), dtype=np.intp)
+    scatter[rows, cols] = np.arange(rows.size)
+    scatter[cols, rows] = scatter[rows, cols]
+    scatter = scatter.ravel()
+    gather.flags.writeable = False
+    scatter.flags.writeable = False
+    return gather, scatter
 
 
-def weighted_outer_accumulate(acc: SymMat, d: np.ndarray, w: float) -> SymMat:
-    """Return acc + w * d d^T in packed form."""
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (acc.dim,):
-        raise DimensionMismatch(f"vector shape {d.shape} vs matrix dim {acc.dim}")
-    rows, cols = np.tril_indices(acc.dim)
-    return SymMat(acc.dim, acc.packed + w * d[rows] * d[cols])
+def pack(dense: np.ndarray) -> np.ndarray:
+    """Lower triangles of a (B, dim, dim) stack as packed rows (B, P)."""
+    dense = np.asarray(dense, dtype=np.float64)
+    if dense.ndim != 3 or dense.shape[1] != dense.shape[2]:
+        raise DimensionMismatch(f"expected a (B, dim, dim) stack, got shape {dense.shape}")
+    dim = dense.shape[1]
+    return np.take(dense.reshape(dense.shape[0], dim * dim), _tril_maps(dim)[0], axis=1)
 
 
-def weighted_scatter(feats: np.ndarray, weights: np.ndarray, center: np.ndarray) -> SymMat:
-    """Packed sum_i weights[i] * (feats[i]-center)(feats[i]-center)^T."""
-    diff = feats - center
-    dense = (diff.T * weights) @ diff
-    return SymMat.from_dense(dense)
+def unpack(packed: np.ndarray, dim: int) -> np.ndarray:
+    """Symmetric (B, dim, dim) stack from packed rows (B, P)."""
+    packed = np.asarray(packed, dtype=np.float64)
+    if packed.ndim != 2 or packed.shape[1] != packed_size(dim):
+        raise DimensionMismatch(
+            f"packed rows for dim {dim} need {packed_size(dim)} entries, got shape {packed.shape}"
+        )
+    return np.take(packed, _tril_maps(dim)[1], axis=1).reshape(packed.shape[0], dim, dim)
 
 
-def cholesky(m: SymMat, jitter: float = 0.0, max_retries: int = 8) -> np.ndarray:
-    """Lower Cholesky factor L with L L^T = m + jitter * I.
+def weighted_scatter(feats: np.ndarray, weights: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Packed sum_i weights[i, b] * (feats[i]-centers[b])(feats[i]-centers[b])^T per b.
 
-    If factorization fails the jitter escalates (starting at 1e-6 when the
-    given jitter is zero, doubling each retry, up to ``max_retries`` times)
-    before NotPositiveDefinite is raised. Small effective sample counts make
+    feats (n, dim), weights (n, B), centers (B, dim); returns (B, P). One
+    stacked matmul makes all B dense scatters before they are packed.
+    """
+    if weights.shape != (feats.shape[0], centers.shape[0]) or centers.shape[1:] != feats.shape[1:]:
+        raise DimensionMismatch(
+            f"feats {feats.shape}, weights {weights.shape}, centers {centers.shape} disagree"
+        )
+    diff = feats[None, :, :] - centers[:, None, :]
+    dense = (diff.transpose(0, 2, 1) * weights.T[:, None, :]) @ diff
+    return pack(dense)
+
+
+def cholesky(covs: np.ndarray, jitter: float = 0.0, max_retries: int = 8) -> np.ndarray:
+    """Lower Cholesky factors L[b] with L[b] L[b]^T = covs[b] + jitter * I.
+
+    The whole (B, dim, dim) stack is factored in one call. If that fails,
+    each matrix goes through its own jitter ladder (starting at 1e-6 when
+    the given jitter is zero, doubling each retry, up to ``max_retries``
+    times) before NotPositiveDefinite is raised, so only a failing
+    matrix's jitter rises. Small effective sample counts make
     near-singular covariances routine, so the ladder is load-bearing.
     """
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
-    dense = m.to_dense()
-    if not np.all(np.isfinite(dense)):
+    covs = np.asarray(covs, dtype=np.float64)
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise DimensionMismatch(f"expected a (B, dim, dim) stack, got shape {covs.shape}")
+    if not np.all(np.isfinite(covs)):
         raise NonFiniteInput("matrix contains non-finite entries")
-    current = float(jitter)
+    eye = np.eye(covs.shape[1])
+    try:
+        return np.linalg.cholesky(covs if jitter == 0.0 else covs + jitter * eye)
+    except np.linalg.LinAlgError:
+        return np.stack([_jitter_ladder(dense, float(jitter), max_retries, eye) for dense in covs])
+
+
+def _jitter_ladder(dense: np.ndarray, current: float, max_retries: int, eye: np.ndarray):
     for attempt in range(max_retries + 1):
         try:
-            target = dense if current == 0.0 else dense + current * np.eye(m.dim)
-            return np.linalg.cholesky(target)
+            return np.linalg.cholesky(dense if current == 0.0 else dense + current * eye)
         except np.linalg.LinAlgError:
             if attempt == max_retries:
                 break
@@ -117,26 +114,24 @@ def cholesky(m: SymMat, jitter: float = 0.0, max_retries: int = 8) -> np.ndarray
     )
 
 
-def log_gauss_density(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> float:
-    """log N(x; mean, Sigma) where chol is the lower Cholesky factor of Sigma."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    dim = chol.shape[0]
-    if x.shape != (dim,) or mean.shape != (dim,):
-        raise DimensionMismatch(
-            f"x {x.shape}, mean {mean.shape} incompatible with factor dim {dim}"
-        )
-    y = solve_triangular(chol, x - mean, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (dim * LOG_2PI + log_det + float(y @ y))
+def log_gauss_density_batch(xs: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
+    """log N(xs[i]; means[b], L[b] L[b]^T) for every row i and mode b, shape (n, B).
 
-
-def log_gauss_density_batch(xs: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> np.ndarray:
-    """Row-wise log N(x; mean, Sigma) for xs of shape (n, dim)."""
+    xs (n, dim) must be finite; chols are lower factors (B, dim, dim).
+    Each mode costs one LAPACK triangular solve over all rows.
+    """
     xs = np.asarray(xs, dtype=np.float64)
-    dim = chol.shape[0]
-    if xs.ndim != 2 or xs.shape[1] != dim:
-        raise DimensionMismatch(f"xs shape {xs.shape} incompatible with factor dim {dim}")
-    ys = solve_triangular(chol, (xs - mean).T, lower=True)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return -0.5 * (dim * LOG_2PI + log_det + np.sum(ys * ys, axis=0))
+    n_modes, dim = chols.shape[:2]
+    if xs.ndim != 2 or xs.shape[1] != dim or means.shape != (n_modes, dim):
+        raise DimensionMismatch(
+            f"xs {xs.shape}, means {means.shape} incompatible with factors {chols.shape}"
+        )
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    out = np.empty((xs.shape[0], n_modes))
+    for b in range(n_modes):
+        # L^T is the Fortran-ordered upper factor, so LAPACK reads it in place
+        ys, info = dtrtrs(chols[b].T, (xs - means[b]).T, lower=0, trans=1)
+        if info != 0:
+            raise NotPositiveDefinite(f"triangular solve failed for mode {b} (info {info})")
+        out[:, b] = -0.5 * (dim * LOG_2PI + log_dets[b] + np.sum(ys * ys, axis=0))
+    return out

@@ -127,24 +127,13 @@ class ThresholdState:
         if self.batches_seen < 1:
             raise Uncalibrated("thresholds have not seen any calibration batch")
 
-    def pseudo_label(self, p: np.ndarray) -> int:
-        """Three-way pseudo-label for one likelihood vector.
-
-        Returns the argmax class (ties to the lowest index) when the
-        entropy is at most tau_k, the unknown class C when it is at least
-        tau_u, and DISCARDED in between.
-        """
-        self._require_calibrated()
-        p = np.asarray(p, dtype=np.float64)
-        ent = normalized_entropy(p)
-        if ent <= self.tau_k:
-            return int(np.argmax(p))
-        if ent >= self.tau_u:
-            return p.shape[-1]
-        return DISCARDED
-
     def pseudo_label_batch(self, p: np.ndarray, entropies: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized pseudo_label over rows of p; precomputed entropies optional."""
+        """Three-way pseudo-label per row of likelihood vectors p.
+
+        A row gets its argmax class (ties to the lowest index) when its
+        entropy is at most tau_k, the unknown class C when it is at least
+        tau_u, and DISCARDED in between. Precomputed entropies optional.
+        """
         self._require_calibrated()
         p = np.asarray(p, dtype=np.float64)
         if entropies is None:
@@ -156,26 +145,18 @@ class ThresholdState:
         labels[unknown] = p.shape[1]
         return labels
 
-    def predict(self, softmax_out: np.ndarray, p: np.ndarray) -> int:
-        """Inference rule: classifier argmax gated by the mixture entropy.
-
-        The class decision uses the model softmax, the gate uses the
-        mixture likelihood entropy against tau = (tau_k + tau_u)/2; the
-        boundary entropy == tau routes to the known branch.
-        """
-        self._require_calibrated()
-        ent = normalized_entropy(np.asarray(p, dtype=np.float64))
-        if ent <= self.tau:
-            return int(np.argmax(softmax_out))
-        return np.asarray(p).shape[-1]
-
     def predict_batch(
         self,
         softmax_outs: np.ndarray,
         p: np.ndarray,
         entropies: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Vectorized predict over aligned rows of softmax_outs and p."""
+        """Inference rule per aligned row: classifier argmax gated by entropy.
+
+        The class decision uses the model softmax, the gate uses the
+        mixture likelihood entropy against tau = (tau_k + tau_u)/2; the
+        boundary entropy == tau routes to the known branch.
+        """
         self._require_calibrated()
         p = np.asarray(p, dtype=np.float64)
         softmax_outs = np.asarray(softmax_outs, dtype=np.float64)

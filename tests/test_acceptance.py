@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from gmmadapt import linalg
 from gmmadapt.cli import main
 from gmmadapt.config import default_config
 from gmmadapt.gmm_stream import GaussianMixtureStream
@@ -93,15 +94,14 @@ def test_criterion_2_streaming_mean_oracle():
             w = rng.dirichlet(np.ones(n_classes), size=n)
             gmm.update(feats, w)
             if first is None:
-                first = (feats, w, [m.cov.to_dense().copy() for m in gmm.modes],
-                         [m.mean.copy() for m in gmm.modes])
+                first = (feats, w, linalg.unpack(gmm.cov_packed, dim), gmm.means.copy())
             feats_all.append(feats)
             w_all.append(w)
         feats = np.vstack(feats_all)
         w = np.vstack(w_all)
         for c in range(n_classes):
             oracle = (w[:, c] @ feats) / w[:, c].sum()
-            rel = np.linalg.norm(gmm.modes[c].mean - oracle) / max(np.linalg.norm(oracle), 1e-300)
+            rel = np.linalg.norm(gmm.means[c] - oracle) / max(np.linalg.norm(oracle), 1e-300)
             worst_mean = max(worst_mean, rel)
         f1, w1, covs1, means1 = first
         for c in range(n_classes):
@@ -227,7 +227,7 @@ def test_criterion_4_entropy_gate_properties():
 
     ts = ThresholdState(n_init=30, p_reject=50.0, tau_k=0.3, tau_u=0.7, batches_seen=1)
     p_boundary = np.array([0.5, 0.5, 0.0, 0.0])  # entropy exactly 0.5 == tau
-    pred = ts.predict(np.array([0.1, 0.2, 0.6, 0.1]), p_boundary)
+    pred = ts.predict_batch(np.array([[0.1, 0.2, 0.6, 0.1]]), p_boundary[None, :])[0]
     if pred != 2:
         ok = False
         details.append("boundary routed to unknown")

@@ -1,5 +1,10 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from gmmadapt import linalg
 from gmmadapt.errors import DimensionMismatch, NoInitializedMode, NonFiniteInput
@@ -12,33 +17,46 @@ def onehot_rows(labels, n_classes):
     return w
 
 
+def mixture_from(means, weights, jitter=1e-6):
+    """A mixture holding the given means and masses, each with identity covariance."""
+    means = np.asarray(means, dtype=float)
+    n_classes, dim = means.shape
+    gmm = GaussianMixtureStream(n_classes, dim, jitter)
+    gmm.means[:] = means
+    gmm.cov_packed[:] = linalg.pack(np.broadcast_to(np.eye(dim), (n_classes, dim, dim)))
+    gmm.mass[:] = weights
+    return gmm
+
+
+def log_likelihoods_one(gmm, x):
+    return gmm.class_log_likelihoods_batch(np.asarray(x, dtype=float)[None, :])[0]
+
+
 class TestUpdate:
     def test_single_sample_weighted_mean(self):
         gmm = GaussianMixtureStream(3, 2, jitter=1e-6)
         gmm.update(np.array([[1.0, 2.0]]), onehot_rows([1], 3))
-        mode = gmm.modes[1]
-        np.testing.assert_array_equal(mode.mean, [1.0, 2.0])
-        assert mode.weight == 1.0
-        np.testing.assert_array_equal(mode.cov.to_dense(), np.zeros((2, 2)))
+        np.testing.assert_array_equal(gmm.means[1], [1.0, 2.0])
+        assert gmm.mass[1] == 1.0
+        np.testing.assert_array_equal(linalg.unpack(gmm.cov_packed, 2)[1], np.zeros((2, 2)))
         assert gmm.batch_counter == 1
 
     def test_two_samples_direct_recursion(self):
         gmm = GaussianMixtureStream(2, 2, jitter=1e-6)
         feats = np.array([[0.0, 0.0], [2.0, 0.0]])
         gmm.update(feats, onehot_rows([0, 0], 2))
-        mode = gmm.modes[0]
-        np.testing.assert_allclose(mode.mean, [1.0, 0.0], rtol=1e-15)
-        assert mode.weight == 2.0
-        np.testing.assert_allclose(mode.cov.to_dense(), [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(gmm.means[0], [1.0, 0.0], rtol=1e-15)
+        assert gmm.mass[0] == 2.0
+        np.testing.assert_allclose(linalg.unpack(gmm.cov_packed, 2)[0], [[1.0, 0.0], [0.0, 0.0]],
+                                   atol=1e-15)
 
     def test_zero_mass_class_untouched(self):
         gmm = GaussianMixtureStream(2, 2, jitter=1e-6)
         gmm.update(np.array([[1.0, 1.0], [3.0, 1.0]]), onehot_rows([0, 0], 2))
-        before = gmm.modes[1]
-        assert before.weight == 0.0 and not before.initialized
-        mean0 = gmm.modes[0].mean.copy()
+        assert gmm.mass[1] == 0.0 and 1 not in gmm.prototypes()[0]
+        mean0 = gmm.means[0].copy()
         gmm.update(np.array([[5.0, 5.0]]), onehot_rows([1], 2))
-        np.testing.assert_array_equal(gmm.modes[0].mean, mean0)
+        np.testing.assert_array_equal(gmm.means[0], mean0)
 
     def test_soft_weights_split_mass(self):
         gmm = GaussianMixtureStream(2, 1, jitter=1e-6)
@@ -46,9 +64,9 @@ class TestUpdate:
         w = np.array([[0.75, 0.25], [0.25, 0.75]])
         gmm.update(feats, w)
         # class 0: mass 1.0, mean (0.75*0 + 0.25*4)/1 = 1.0
-        assert gmm.modes[0].weight == pytest.approx(1.0)
-        assert gmm.modes[0].mean[0] == pytest.approx(1.0)
-        assert gmm.modes[1].mean[0] == pytest.approx(3.0)
+        assert gmm.mass[0] == pytest.approx(1.0)
+        assert gmm.means[0, 0] == pytest.approx(1.0)
+        assert gmm.means[1, 0] == pytest.approx(3.0)
 
     def test_validation_errors(self):
         gmm = GaussianMixtureStream(2, 2)
@@ -64,31 +82,25 @@ class TestUpdate:
 
 class TestLikelihoods:
     def test_two_mode_gap_is_half_squared_distance(self):
-        means = np.array([[0.0, 0.0], [10.0, 0.0]])
-        covs = [linalg.SymMat.identity(2) for _ in range(2)]
-        gmm = GaussianMixtureStream.with_prior(means, covs, np.array([1.0, 1.0]), jitter=0.0)
-        logp = gmm.class_log_likelihoods(np.array([0.0, 0.0]))
+        gmm = mixture_from([[0.0, 0.0], [10.0, 0.0]], [1.0, 1.0], jitter=0.0)
+        logp = log_likelihoods_one(gmm, [0.0, 0.0])
         assert logp[0] - logp[1] == pytest.approx(50.0, abs=1e-10)
 
     def test_single_initialized_mode_one_finite_entry(self):
-        means = np.array([[0.0], [3.0], [7.0]])
-        covs = [linalg.SymMat.identity(1) for _ in range(3)]
-        gmm = GaussianMixtureStream.with_prior(means, covs, np.array([0.0, 1.0, 0.0]))
-        logp = gmm.class_log_likelihoods(np.array([2.0]))
+        gmm = mixture_from([[0.0], [3.0], [7.0]], [0.0, 1.0, 0.0])
+        logp = log_likelihoods_one(gmm, [2.0])
         assert np.isfinite(logp[1])
         assert np.isneginf(logp[0]) and np.isneginf(logp[2])
 
     def test_symmetric_midpoint_equal_densities(self):
-        means = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        covs = [linalg.SymMat.identity(2) for _ in range(2)]
-        gmm = GaussianMixtureStream.with_prior(means, covs, np.array([1.0, 1.0]))
-        logp = gmm.class_log_likelihoods(np.array([0.0, 0.0]))
+        gmm = mixture_from([[-1.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
+        logp = log_likelihoods_one(gmm, [0.0, 0.0])
         assert logp[0] == pytest.approx(logp[1], abs=1e-12)
 
     def test_no_initialized_mode_raises(self):
         gmm = GaussianMixtureStream(3, 2)
         with pytest.raises(NoInitializedMode):
-            gmm.class_log_likelihoods(np.zeros(2))
+            log_likelihoods_one(gmm, np.zeros(2))
 
     def test_likelihood_vectors_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
@@ -139,7 +151,7 @@ class TestStreamingInvariants:
             w = np.vstack(all_w)
             for c in range(n_classes):
                 oracle = (w[:, c] @ feats) / w[:, c].sum()
-                np.testing.assert_allclose(gmm.modes[c].mean, oracle, rtol=1e-10)
+                np.testing.assert_allclose(gmm.means[c], oracle, rtol=1e-10)
 
     def test_mass_monotone_nondecreasing(self):
         rng = np.random.default_rng(2)
@@ -147,7 +159,7 @@ class TestStreamingInvariants:
         prev = np.zeros(3)
         for _ in range(6):
             gmm.update(rng.standard_normal((8, 2)), rng.dirichlet(np.ones(3), size=8))
-            current = np.array([m.weight for m in gmm.modes])
+            current = gmm.mass.copy()
             assert np.all(current >= prev)
             prev = current
 
@@ -158,20 +170,18 @@ class TestStreamingInvariants:
         perm = rng.permutation(16)
         a = GaussianMixtureStream(2, 3, jitter=1e-6).update(feats, w)
         b = GaussianMixtureStream(2, 3, jitter=1e-6).update(feats[perm], w[perm])
-        for ma, mb in zip(a.modes, b.modes):
-            np.testing.assert_array_equal(ma.mean, mb.mean)
-            np.testing.assert_array_equal(ma.cov.packed, mb.cov.packed)
-            assert ma.weight == mb.weight
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.cov_packed, b.cov_packed)
+        np.testing.assert_array_equal(a.mass, b.mass)
 
     def test_covariance_stays_factorable(self):
         rng = np.random.default_rng(31)
         gmm = GaussianMixtureStream(3, 5, jitter=1e-6)
         for _ in range(10):
             gmm.update(rng.standard_normal((12, 5)), rng.dirichlet(np.ones(3), size=12))
-            for mode in gmm.modes:
-                if mode.initialized:
-                    L = linalg.cholesky(mode.cov, gmm.jitter)
-                    assert np.all(np.isfinite(L))
+            live = gmm.prototypes()[0]
+            L = linalg.cholesky(linalg.unpack(gmm.cov_packed[live], 5), gmm.jitter)
+            assert np.all(np.isfinite(L))
 
 
 class TestSnapshot:
@@ -185,9 +195,8 @@ class TestSnapshot:
         assert restored.batch_counter == gmm.batch_counter
         assert restored.jitter == gmm.jitter
         x = rng.standard_normal(4)
-        np.testing.assert_array_equal(
-            restored.class_log_likelihoods(x), gmm.class_log_likelihoods(x)
-        )
+        np.testing.assert_array_equal(log_likelihoods_one(restored, x), log_likelihoods_one(gmm, x))
+        assert restored.to_snapshot() == blob
 
     def test_version_check(self):
         gmm = GaussianMixtureStream(2, 2)
@@ -198,10 +207,200 @@ class TestSnapshot:
 
 class TestPriorInitialization:
     def test_prior_blends_with_first_batch(self):
-        means = np.array([[0.0, 0.0]])
-        covs = [linalg.SymMat.identity(2)]
-        gmm = GaussianMixtureStream.with_prior(means, covs, np.array([2.0]), jitter=1e-6)
+        gmm = mixture_from([[0.0, 0.0]], [2.0], jitter=1e-6)
         gmm.update(np.array([[3.0, 0.0]]), np.array([[1.0]]))
         # mean: (2*0 + 1*3)/3, mass 3
-        assert gmm.modes[0].weight == pytest.approx(3.0)
-        assert gmm.modes[0].mean[0] == pytest.approx(1.0)
+        assert gmm.mass[0] == pytest.approx(3.0)
+        assert gmm.means[0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "edit,error",
+        [
+            (lambda doc: doc["modes"].pop(), DimensionMismatch),
+            (lambda doc: doc["modes"].append(doc["modes"][0]), DimensionMismatch),
+            (lambda doc: doc["modes"][1]["mean"].pop(), DimensionMismatch),
+            (lambda doc: doc["modes"][1]["cov_packed"].append(0.0), DimensionMismatch),
+            (lambda doc: doc["modes"][2].update(weight=float("nan")), NonFiniteInput),
+            (lambda doc: doc["modes"][2].update(weight=float("inf")), NonFiniteInput),
+            (lambda doc: doc["modes"][2].update(weight=-1.0), NonFiniteInput),
+        ],
+        ids=["too_few_modes", "too_many_modes", "short_mean", "long_cov_packed",
+             "nan_weight", "inf_weight", "negative_weight"],
+    )
+    def test_malformed_snapshot_rejected_at_load(self, edit, error):
+        rng = np.random.default_rng(4)
+        gmm = GaussianMixtureStream(3, 2, jitter=1e-6)
+        gmm.update(rng.standard_normal((9, 2)), rng.dirichlet(np.ones(3), size=9))
+        doc = json.loads(gmm.to_snapshot())
+        edit(doc)
+        with pytest.raises(error):
+            GaussianMixtureStream.from_snapshot(json.dumps(doc))
+
+
+class TestLikelihoodChecks:
+    def test_feats_shape_and_finiteness(self):
+        gmm = mixture_from([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            gmm.likelihood_vectors(np.zeros((3, 3)))
+        with pytest.raises(NonFiniteInput):
+            gmm.likelihood_vectors(np.array([[0.0, np.inf]]))
+
+    def test_non_finite_covariance_raises(self):
+        gmm = mixture_from([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+        gmm.cov_packed[1, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            gmm.likelihood_vectors(np.zeros((2, 2)))
+
+    def test_failing_mode_alone_gets_more_jitter(self):
+        # mode 0 is singular at zero jitter; mode 1 must be factored as if alone
+        gmm = mixture_from([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0], jitter=0.0)
+        gmm.cov_packed[0] = linalg.pack(np.ones((1, 2, 2)))[0]
+        x = np.array([[0.5, -0.5], [2.0, 1.0]])
+        alone = mixture_from([[1.0, 1.0]], [1.0], jitter=0.0)
+        logp = gmm.class_log_likelihoods_batch(x)
+        np.testing.assert_array_equal(logp[:, 1], alone.class_log_likelihoods_batch(x)[:, 0])
+        assert np.all(np.isfinite(logp[:, 0]))
+
+
+# -- properties ---------------------------------------------------------------
+# The per-class reference below is the recursion and the density written
+# one class at a time, as the module docstring states them. The blocked
+# implementation must match it bit for bit, across block boundaries
+# (BLOCK = 64) and with classes that receive no mass.
+
+
+def reference_update(state, feats, weights):
+    """One recursion step, class by class, on (means, dense covs, mass) copies."""
+    means, covs, mass = (a.copy() for a in state)
+    order = np.lexsort(np.vstack([feats.T, weights.T]))
+    feats, weights = feats[order], weights[order]
+    batch_mass = weights.sum(axis=0)
+    weighted_sums = weights.T @ feats
+    rows, cols = np.tril_indices(feats.shape[1])
+    for c in range(weights.shape[1]):
+        if batch_mass[c] <= 0.0:
+            continue
+        s_prev = mass[c]
+        s_new = s_prev + batch_mass[c]
+        new_mean = (s_prev * means[c] + weighted_sums[c]) / s_new
+        diff = feats - new_mean
+        scatter = ((diff.T * weights[:, c]) @ diff)[rows, cols]
+        covs[c] = (s_prev * covs[c] + scatter) / s_new
+        means[c] = new_mean
+        mass[c] = s_new
+    return means, covs, mass
+
+
+def reference_log_likelihoods(state, xs, jitter):
+    means, covs, mass = state
+    dim = means.shape[1]
+    rows, cols = np.tril_indices(dim)
+    out = np.full((xs.shape[0], means.shape[0]), -np.inf)
+    for c in np.flatnonzero(mass > 0.0):
+        dense = np.zeros((dim, dim))
+        dense[rows, cols] = covs[c]
+        dense[cols, rows] = covs[c]
+        L = np.linalg.cholesky(dense + jitter * np.eye(dim))
+        ys = solve_triangular(L, (xs - means[c]).T, lower=True)
+        log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
+        out[:, c] = -0.5 * (dim * linalg.LOG_2PI + log_det + np.sum(ys * ys, axis=0))
+    return out
+
+
+def random_batch(rng, n, n_classes, dim, dead):
+    """Features and softmax-like weights; the classes in `dead` get no mass."""
+    feats = rng.standard_normal((n, dim)) * rng.uniform(0.5, 3.0)
+    w = rng.dirichlet(np.ones(n_classes), size=n)
+    w[:, dead] = 0.0
+    return feats, w / w.sum(axis=1, keepdims=True)
+
+
+class TestBlockedProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_classes=st.sampled_from([1, 63, 64, 65, 129]),
+        dim=st.integers(1, 5),
+        n_batches=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_equals_per_class_reference(self, n_classes, dim, n_batches, seed):
+        rng = np.random.default_rng(seed)
+        dead = rng.random(n_classes) < 0.3
+        dead[rng.integers(n_classes)] = False
+        jitter = 1e-6
+        gmm = GaussianMixtureStream(n_classes, dim, jitter)
+        state = (gmm.means.copy(), gmm.cov_packed.copy(), gmm.mass.copy())
+        for _ in range(n_batches):
+            feats, w = random_batch(rng, int(rng.integers(1, 12)), n_classes, dim, dead)
+            gmm.update(feats, w)
+            state = reference_update(state, feats, w)
+        np.testing.assert_array_equal(gmm.means, state[0])
+        np.testing.assert_array_equal(gmm.cov_packed, state[1])
+        np.testing.assert_array_equal(gmm.mass, state[2])
+        xs = rng.standard_normal((5, dim))
+        np.testing.assert_array_equal(
+            gmm.class_log_likelihoods_batch(xs), reference_log_likelihoods(state, xs, jitter)
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_classes=st.sampled_from([1, 3, 65]),
+        dim=st.integers(1, 4),
+        n=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shuffled_batch_gives_identical_parameters(self, n_classes, dim, n, seed):
+        rng = np.random.default_rng(seed)
+        prior_feats, prior_w = random_batch(rng, 8, n_classes, dim, [])
+        feats, w = random_batch(rng, n, n_classes, dim, [])
+        perm = rng.permutation(n)
+        a = GaussianMixtureStream(n_classes, dim).update(prior_feats, prior_w)
+        b = a.copy()
+        a.update(feats, w)
+        b.update(feats[perm], w[perm])
+        np.testing.assert_array_equal(a.means, b.means)
+        np.testing.assert_array_equal(a.cov_packed, b.cov_packed)
+        np.testing.assert_array_equal(a.mass, b.mass)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_classes=st.sampled_from([1, 2, 65]),
+        dim=st.integers(1, 6),
+        n_batches=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reachable_reals_equal_memory_footprint(self, n_classes, dim, n_batches, seed):
+        rng = np.random.default_rng(seed)
+        gmm = GaussianMixtureStream(n_classes, dim, jitter=1e-6)
+        for _ in range(n_batches):
+            gmm.update(*random_batch(rng, 6, n_classes, dim, []))
+        if n_batches:
+            gmm.likelihood_vectors(rng.standard_normal((4, dim)))
+        gmm = GaussianMixtureStream.from_snapshot(gmm.to_snapshot()) if seed % 2 else gmm
+        assert reachable_reals(gmm) == gmm.memory_footprint()
+
+
+def reachable_reals(gmm) -> int:
+    """Floats held below the mixture's top-level settings, private names included.
+
+    Top-level scalars (class count, dimension, jitter, batch counter) are
+    settings; every float array and every float inside a container or an
+    object attribute counts.
+    """
+
+    def walk(value) -> int:
+        if isinstance(value, np.ndarray):
+            return int(value.size) if np.issubdtype(value.dtype, np.floating) else 0
+        if isinstance(value, float):
+            return 1
+        if isinstance(value, (list, tuple, set)):
+            return sum(walk(v) for v in value)
+        if isinstance(value, dict):
+            return sum(walk(v) for v in value.values())
+        if hasattr(value, "__dict__"):
+            return sum(walk(v) for v in vars(value).values())
+        return 0
+
+    return sum(
+        walk(value) for value in vars(gmm).values() if not isinstance(value, (int, float))
+    )

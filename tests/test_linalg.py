@@ -1,56 +1,94 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from gmmadapt import linalg
-from gmmadapt.errors import DimensionMismatch, NotPositiveDefinite
+from gmmadapt.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
+
+
+def packed_identity(dim):
+    packed = np.zeros((1, linalg.packed_size(dim)))
+    packed[0, np.arange(dim) * (np.arange(dim) + 3) // 2] = 1.0
+    return packed
+
+
+def log_density_one(x, mean, L):
+    """log N(x; mean, L L^T) for one point and one mode, through the stacked API."""
+    return linalg.log_gauss_density_batch(
+        np.asarray(x, dtype=float)[None, :], np.asarray(mean, dtype=float)[None, :], L[None]
+    )[0, 0]
+
+
+def reference_log_density(x, mean, L):
+    """The single-point formula written out: one triangular solve and the log-det."""
+    y = solve_triangular(L, x - mean, lower=True)
+    log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
+    return -0.5 * (L.shape[0] * np.log(2 * np.pi) + log_det + float(y @ y))
 
 
 class TestSymMat:
+    """Packed lower-triangular storage: pack, unpack and the diagonal offsets."""
+
     def test_packed_round_trip(self):
         rng = np.random.default_rng(0)
         for dim in (1, 2, 5, 8):
             a = rng.standard_normal((dim, dim))
             a = a + a.T
-            m = linalg.SymMat.from_dense(a)
-            assert m.packed.shape == (dim * (dim + 1) // 2,)
-            np.testing.assert_array_equal(m.to_dense(), np.tril(a) + np.tril(a, -1).T)
+            packed = linalg.pack(a[None])
+            assert packed.shape == (1, dim * (dim + 1) // 2)
+            np.testing.assert_array_equal(
+                linalg.unpack(packed, dim)[0], np.tril(a) + np.tril(a, -1).T
+            )
 
     def test_identity_diagonal_offsets(self):
-        m = linalg.SymMat.identity(5)
-        np.testing.assert_array_equal(m.to_dense(), np.eye(5))
+        np.testing.assert_array_equal(linalg.unpack(packed_identity(5), 5)[0], np.eye(5))
+        np.testing.assert_array_equal(linalg.pack(np.eye(5)[None]), packed_identity(5))
 
     def test_wrong_packed_length_rejected(self):
         with pytest.raises(DimensionMismatch):
-            linalg.SymMat(3, np.zeros(5))
+            linalg.unpack(np.zeros((1, 5)), 3)
 
 
 class TestCholesky:
     def test_identity_no_jitter(self):
-        L = linalg.cholesky(linalg.SymMat.identity(2), jitter=0.0)
+        L = linalg.cholesky(np.eye(2)[None], jitter=0.0)[0]
         np.testing.assert_array_equal(L, np.eye(2))
 
     def test_hand_factorization(self):
-        m = linalg.SymMat.from_dense(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        L = linalg.cholesky(m, jitter=0.0)
+        m = np.array([[4.0, 2.0], [2.0, 3.0]])
+        L = linalg.cholesky(m[None], jitter=0.0)[0]
         expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
         np.testing.assert_allclose(L, expected, rtol=1e-15)
-        np.testing.assert_allclose(L @ L.T, m.to_dense(), rtol=1e-15)
+        np.testing.assert_allclose(L @ L.T, m, rtol=1e-15)
 
     def test_pure_jitter_case(self):
-        L = linalg.cholesky(linalg.SymMat.zeros(2), jitter=1e-6)
+        L = linalg.cholesky(np.zeros((1, 2, 2)), jitter=1e-6)[0]
         np.testing.assert_allclose(L, np.sqrt(1e-6) * np.eye(2), rtol=1e-12)
 
     def test_jitter_ladder_rescues_singular(self):
         # rank-1 matrix, zero jitter: ladder kicks in at 1e-6
         d = np.array([1.0, 2.0, 3.0])
-        m = linalg.SymMat.from_dense(np.outer(d, d))
-        L = linalg.cholesky(m, jitter=0.0)
+        L = linalg.cholesky(np.outer(d, d)[None], jitter=0.0)
         assert np.all(np.isfinite(L))
 
+    def test_ladder_only_for_failing_matrix(self):
+        # one singular matrix in the stack: its neighbour keeps the base jitter
+        d = np.array([1.0, 2.0, 3.0])
+        spd = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
+        L = linalg.cholesky(np.stack([np.outer(d, d), spd]), jitter=0.0)
+        np.testing.assert_array_equal(L[1], np.linalg.cholesky(spd))
+        assert np.all(np.isfinite(L[0]))
+        assert np.max(np.abs(L[0] @ L[0].T - np.outer(d, d))) > 0.0
+
     def test_ladder_exhaustion_raises(self):
-        m = linalg.SymMat.from_dense(-np.eye(3))
         with pytest.raises(NotPositiveDefinite):
-            linalg.cholesky(m, jitter=0.0)
+            linalg.cholesky(-np.eye(3)[None], jitter=0.0)
+
+    def test_non_finite_rejected(self):
+        covs = np.stack([np.eye(2), np.eye(2)])
+        covs[1, 0, 0] = np.nan
+        with pytest.raises(NonFiniteInput):
+            linalg.cholesky(covs, jitter=1e-6)
 
     def test_reconstruction_random_spd(self):
         # ||L L^T - (m + jitter I)||_max < 1e-10 on random SPD up to dim 64
@@ -59,7 +97,7 @@ class TestCholesky:
             a = rng.standard_normal((dim, dim))
             spd = a @ a.T + dim * np.eye(dim)
             jitter = 1e-4
-            L = linalg.cholesky(linalg.SymMat.from_dense(spd), jitter=jitter)
+            L = linalg.cholesky(spd[None], jitter=jitter)[0]
             err = np.max(np.abs(L @ L.T - (spd + jitter * np.eye(dim))))
             assert err < 1e-10
 
@@ -68,36 +106,46 @@ class TestLogGaussDensity:
     def test_at_mode_2d(self):
         L = np.eye(2)
         x = np.array([0.3, -0.4])
-        assert linalg.log_gauss_density(x, x, L) == pytest.approx(-np.log(2 * np.pi), abs=1e-14)
+        assert log_density_one(x, x, L) == pytest.approx(-np.log(2 * np.pi), abs=1e-14)
 
     def test_unit_offset_2d(self):
         L = np.eye(2)
         mean = np.zeros(2)
         x = np.array([1.0, 0.0])
         expected = -np.log(2 * np.pi) - 0.5
-        assert linalg.log_gauss_density(x, mean, L) == pytest.approx(expected, abs=1e-14)
+        assert log_density_one(x, mean, L) == pytest.approx(expected, abs=1e-14)
 
     def test_1d_standard_normal_at_mode(self):
         L = np.eye(1)
-        assert linalg.log_gauss_density(np.zeros(1), np.zeros(1), L) == pytest.approx(
+        assert log_density_one(np.zeros(1), np.zeros(1), L) == pytest.approx(
             -0.5 * np.log(2 * np.pi), abs=1e-15
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            linalg.log_gauss_density(np.zeros(3), np.zeros(2), np.eye(2))
+            linalg.log_gauss_density_batch(np.zeros((1, 3)), np.zeros((1, 2)), np.eye(2)[None])
+        with pytest.raises(DimensionMismatch):
+            linalg.log_gauss_density_batch(np.zeros((1, 2)), np.zeros((2, 2)), np.eye(2)[None])
+
+    def test_singular_factor_raises(self):
+        L = np.stack([np.eye(3), np.diag([1.0, 0.0, 1.0])])
+        with np.errstate(divide="ignore"), pytest.raises(NotPositiveDefinite):
+            linalg.log_gauss_density_batch(np.ones((2, 3)), np.zeros((2, 3)), L)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
-        dim = 4
-        a = rng.standard_normal((dim, dim))
-        m = linalg.SymMat.from_dense(a @ a.T + np.eye(dim))
-        L = linalg.cholesky(m, jitter=0.0)
-        mean = rng.standard_normal(dim)
+        dim, n_modes = 4, 3
+        a = rng.standard_normal((n_modes, dim, dim))
+        L = linalg.cholesky(a @ a.transpose(0, 2, 1) + np.eye(dim), jitter=0.0)
+        means = rng.standard_normal((n_modes, dim))
         xs = rng.standard_normal((10, dim))
-        batch = linalg.log_gauss_density_batch(xs, mean, L)
+        batch = linalg.log_gauss_density_batch(xs, means, L)
+        assert batch.shape == (10, n_modes)
         for i in range(10):
-            assert batch[i] == pytest.approx(linalg.log_gauss_density(xs[i], mean, L), rel=1e-12)
+            for b in range(n_modes):
+                assert batch[i, b] == pytest.approx(
+                    reference_log_density(xs[i], means[b], L[b]), rel=1e-12
+                )
 
     def test_quadratic_form_matches_dense_inverse_oracle(self):
         # triangular-solve quadratic form vs explicit inverse, dims 2..8
@@ -106,11 +154,10 @@ class TestLogGaussDensity:
             a = rng.standard_normal((dim, dim))
             spd = a @ a.T + 0.5 * np.eye(dim)
             jitter = 1e-5
-            m = linalg.SymMat.from_dense(spd)
-            L = linalg.cholesky(m, jitter=jitter)
+            L = linalg.cholesky(spd[None], jitter=jitter)[0]
             mean = rng.standard_normal(dim)
             x = rng.standard_normal(dim)
-            got = linalg.log_gauss_density(x, mean, L)
+            got = log_density_one(x, mean, L)
             cov = spd + jitter * np.eye(dim)
             diff = x - mean
             direct = -0.5 * (
@@ -126,32 +173,38 @@ class TestLogGaussDensity:
         a = rng.standard_normal((2, 2))
         cov = a @ a.T + np.eye(2)
         mean = rng.standard_normal(2)
-        L = linalg.cholesky(linalg.SymMat.from_dense(cov), jitter=0.0)
+        L = linalg.cholesky(cov[None], jitter=0.0)
         stds = np.sqrt(np.diag(cov))
         lo, hi = mean - 6 * stds, mean + 6 * stds
         n = 1_000_000
         xs = rng.uniform(lo, hi, size=(n, 2))
-        vals = np.exp(linalg.log_gauss_density_batch(xs, mean, L))
+        vals = np.exp(linalg.log_gauss_density_batch(xs, mean[None], L)[:, 0])
         integral = vals.mean() * np.prod(hi - lo)
         assert integral == pytest.approx(1.0, abs=0.02)
 
 
 class TestWeightedOuterAccumulate:
+    """Single-sample weighted_scatter: w * d d^T, packed."""
+
+    @staticmethod
+    def outer(d, w):
+        d = np.asarray(d, dtype=float)
+        packed = linalg.weighted_scatter(d[None, :], np.array([[w]]), np.zeros((1, d.size)))
+        return linalg.unpack(packed, d.size)[0]
+
     def test_single_outer_product(self):
-        acc = linalg.SymMat.zeros(2)
-        out = linalg.weighted_outer_accumulate(acc, np.array([1.0, 2.0]), 1.0)
-        np.testing.assert_array_equal(out.to_dense(), [[1.0, 2.0], [2.0, 4.0]])
+        np.testing.assert_array_equal(self.outer([1.0, 2.0], 1.0), [[1.0, 2.0], [2.0, 4.0]])
 
     def test_zero_weight_is_identity(self):
-        acc = linalg.SymMat.identity(3)
-        out = linalg.weighted_outer_accumulate(acc, np.array([5.0, -1.0, 2.0]), 0.0)
-        np.testing.assert_array_equal(out.to_dense(), np.eye(3))
+        acc = packed_identity(3)
+        d = np.array([[5.0, -1.0, 2.0]])
+        out = acc + linalg.weighted_scatter(d, np.zeros((1, 1)), np.zeros((1, 3)))
+        np.testing.assert_array_equal(linalg.unpack(out, 3)[0], np.eye(3))
 
     def test_half_weight(self):
-        acc = linalg.SymMat.zeros(2)
-        out = linalg.weighted_outer_accumulate(acc, np.array([1.0, 1.0]), 0.5)
-        np.testing.assert_allclose(out.to_dense(), [[0.5, 0.5], [0.5, 0.5]], rtol=1e-15)
+        np.testing.assert_allclose(self.outer([1.0, 1.0], 0.5), [[0.5, 0.5], [0.5, 0.5]],
+                                   rtol=1e-15)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            linalg.weighted_outer_accumulate(linalg.SymMat.zeros(2), np.zeros(3), 1.0)
+            linalg.weighted_scatter(np.zeros((1, 3)), np.ones((1, 1)), np.zeros((1, 2)))

@@ -113,6 +113,34 @@ class TestCalibrate:
             assert discarded == pytest.approx(p_reject / 100.0, abs=2 / 64)
 
 
+def pseudo_label_one(ts, p):
+    """Batch pseudo-label of a single likelihood vector."""
+    return int(ts.pseudo_label_batch(np.asarray(p, dtype=float)[None, :])[0])
+
+
+def predict_one(ts, softmax_out, p):
+    """Batch prediction for a single aligned (softmax, likelihood) pair."""
+    return int(ts.predict_batch(np.asarray(softmax_out, dtype=float)[None, :],
+                                np.asarray(p, dtype=float)[None, :])[0])
+
+
+def reference_pseudo_label(ts, p):
+    """The gate rule written out for one row, via the scalar entropy."""
+    ent = normalized_entropy(p)
+    if ent <= ts.tau_k:
+        return int(np.argmax(p))
+    if ent >= ts.tau_u:
+        return p.shape[-1]
+    return DISCARDED
+
+
+def reference_predict(ts, softmax_out, p):
+    """The inference rule written out for one row, via the scalar entropy."""
+    if normalized_entropy(p) <= ts.tau:
+        return int(np.argmax(softmax_out))
+    return p.shape[-1]
+
+
 class TestPseudoLabel:
     def make_state(self, tau_k=0.3, tau_u=0.7):
         return ThresholdState(n_init=30, p_reject=50.0, tau_k=tau_k, tau_u=tau_u,
@@ -121,26 +149,26 @@ class TestPseudoLabel:
     def test_one_hot_goes_known(self):
         ts = self.make_state()
         p = np.array([0.0, 0.0, 1.0, 0.0])
-        assert ts.pseudo_label(p) == 2
+        assert pseudo_label_one(ts, p) == 2
 
     def test_uniform_goes_unknown(self):
         ts = self.make_state()
-        assert ts.pseudo_label(np.full(4, 0.25)) == 4
+        assert pseudo_label_one(ts, np.full(4, 0.25)) == 4
 
     def test_mid_entropy_discarded(self):
         ts = self.make_state()
-        assert ts.pseudo_label(np.array([0.5, 0.5, 0.0, 0.0])) == DISCARDED
+        assert pseudo_label_one(ts, np.array([0.5, 0.5, 0.0, 0.0])) == DISCARDED
 
     def test_argmax_tie_breaks_low_index(self):
         ts = self.make_state(tau_k=0.97, tau_u=0.99)
-        assert ts.pseudo_label(np.array([0.4, 0.4, 0.2])) == 0
+        assert pseudo_label_one(ts, np.array([0.4, 0.4, 0.2])) == 0
 
     def test_uncalibrated_raises(self):
         ts = ThresholdState(n_init=30, p_reject=50.0)
         with pytest.raises(Uncalibrated):
-            ts.pseudo_label(np.full(4, 0.25))
+            pseudo_label_one(ts, np.full(4, 0.25))
         with pytest.raises(Uncalibrated):
-            ts.predict(np.full(4, 0.25), np.full(4, 0.25))
+            predict_one(ts, np.full(4, 0.25), np.full(4, 0.25))
 
     def test_batch_matches_scalar(self):
         ts = self.make_state()
@@ -148,7 +176,7 @@ class TestPseudoLabel:
         p = rng.dirichlet(np.ones(5), size=40)
         batch = ts.pseudo_label_batch(p)
         for i in range(40):
-            assert batch[i] == ts.pseudo_label(p[i])
+            assert batch[i] == reference_pseudo_label(ts, p[i])
 
     def test_monotone_gate(self):
         # decreasing entropy never moves a sample from Known toward Unknown
@@ -156,7 +184,7 @@ class TestPseudoLabel:
         order = {"known": 0, "discarded": 1, "unknown": 2}
 
         def bucket(p):
-            label = ts.pseudo_label(p)
+            label = pseudo_label_one(ts, p)
             if label == DISCARDED:
                 return order["discarded"]
             return order["known"] if label < 4 else order["unknown"]
@@ -177,17 +205,17 @@ class TestPredict:
         ts = self.make_state()
         softmax = np.array([0.1, 0.1, 0.7, 0.1])
         p = np.array([0.0, 1.0, 0.0, 0.0])  # mixture entropy 0, argmax differs
-        assert ts.predict(softmax, p) == 2
+        assert predict_one(ts, softmax, p) == 2
 
     def test_confident_unknown(self):
         ts = self.make_state()
-        assert ts.predict(np.array([0.9, 0.1, 0.0, 0.0]), np.full(4, 0.25)) == 4
+        assert predict_one(ts, np.array([0.9, 0.1, 0.0, 0.0]), np.full(4, 0.25)) == 4
 
     def test_boundary_entropy_routes_known(self):
         ts = self.make_state()
         assert ts.tau == 0.5
         p = np.array([0.5, 0.5, 0.0, 0.0])  # entropy exactly 0.5 == tau
-        assert ts.predict(np.array([0.2, 0.3, 0.4, 0.1]), p) == 2
+        assert predict_one(ts, np.array([0.2, 0.3, 0.4, 0.1]), p) == 2
 
     def test_batch_matches_scalar(self):
         ts = self.make_state()
@@ -196,4 +224,4 @@ class TestPredict:
         soft = rng.dirichlet(np.ones(4), size=30)
         batch = ts.predict_batch(soft, p)
         for i in range(30):
-            assert batch[i] == ts.predict(soft[i], p[i])
+            assert batch[i] == reference_predict(ts, soft[i], p[i])
