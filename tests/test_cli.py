@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 import gmmadapt
-from gmmadapt.cli import main
+from gmmadapt.cli import _collect_overrides, build_parser, main
+from gmmadapt.config import load_config
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -50,6 +52,70 @@ RUN_FILES = [
     "gmm.ckpt",
     "summary.json",
 ]
+
+
+CONFIG_FLAGS = [
+    "--augment-sigma", "--config", "--domain-class-sep", "--domain-d-in",
+    "--domain-noise-sigma-source", "--domain-noise-sigma-target", "--domain-rotation-seed",
+    "--domain-rotation-strength", "--domain-translation-scale", "--fd", "--fd-r", "--jitter",
+    "--lambda", "--loss-mode", "--lr", "--momentum", "--n-b", "--n-batches", "--n-init",
+    "--n-source-holdout", "--n-source-train", "--p-reject", "--seed", "--shift-kind",
+    "--shift-n-shared", "--shift-n-source-private", "--shift-n-target-private",
+    "--source-epochs", "--source-lr", "--temperature", "--unknown-positive-pairs",
+]
+HELP = ["--help", "-h"]
+PINNED_OPTIONS = {
+    "train-source": sorted(CONFIG_FLAGS + HELP + ["--out"]),
+    "adapt": sorted(CONFIG_FLAGS + HELP + ["--out", "--model"]),
+    "sweep": sorted(CONFIG_FLAGS + HELP + ["--out", "--parameter", "--values", "--repeats",
+                                           "--compensate-n-init"]),
+    "memory": sorted(HELP + ["--fd", "--fd-r", "--queue-len", "--teacher-params", "--classes",
+                             "--out"]),
+    "replay": sorted(HELP + ["--out"]),
+}
+
+# Every override flag at a non-default value; integer-looking values on
+# float flags pin the type conversion.
+ALL_FLAGS_ARGV = [
+    "adapt", "--seed", "7", "--fd", "128", "--fd-r", "16", "--n-b", "32",
+    "--n-batches", "50", "--p-reject", "40", "--n-init", "10", "--temperature", "0.2",
+    "--lambda", "0.5", "--lr", "1e-4", "--momentum", "0.8", "--loss-mode", "kld_only",
+    "--augment-sigma", "0.05", "--jitter", "0.01", "--source-epochs", "3", "--source-lr", "0.05",
+    "--n-source-train", "1000", "--n-source-holdout", "200", "--unknown-positive-pairs",
+    "--shift-kind", "PDA", "--shift-n-shared", "4", "--shift-n-source-private", "2",
+    "--shift-n-target-private", "0", "--domain-d-in", "6", "--domain-class-sep", "4",
+    "--domain-rotation-seed", "3", "--domain-rotation-strength", "2",
+    "--domain-translation-scale", "1.25", "--domain-noise-sigma-source", "0.9",
+    "--domain-noise-sigma-target", "1.4",
+]
+ALL_FLAGS_RESOLVED = (
+    '{"seed": 7, "shift": {"kind": "PDA", "n_shared": 4, "n_source_private": 2, '
+    '"n_target_private": 0}, "domain": {"d_in": 6, "class_sep": 4.0, "rotation_seed": 3, '
+    '"rotation_strength": 2.0, "shift_translation": [-0.4217986620036601, -0.4683448872171185, '
+    '0.06047643691005702, -0.20710399605156787, -0.5763721628793833, 0.8868396814562283], '
+    '"noise_sigma_source": 0.9, "noise_sigma_target": 1.4}, "fd": 128, "fd_r": 16, "n_b": 32, '
+    '"n_batches": 50, "p_reject": 40.0, "n_init": 10, "temperature": 0.2, "lr": 0.0001, '
+    '"momentum": 0.8, "loss_mode": "kld_only", "unknown_positive_pairs": true, '
+    '"augment_sigma": 0.05, "jitter": 0.01, "source_epochs": 3, "source_lr": 0.05, '
+    '"n_source_train": 1000, "n_source_holdout": 200, "lambda": 0.5, '
+    '"derived": {"n_source_classes": 6, "n_total_classes": 6, "unknown_marker": 6}}'
+)
+
+
+class TestFlagPins:
+    def test_option_strings_per_subcommand(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: sorted(s for action in p._actions for s in action.option_strings)
+            for name, p in sub.choices.items()
+        }
+        assert options == PINNED_OPTIONS
+
+    def test_all_flags_resolve_to_pinned_config(self):
+        args = build_parser().parse_args(ALL_FLAGS_ARGV)
+        cfg = load_config(None, _collect_overrides(args))
+        assert json.dumps(cfg.resolved_dict()) == ALL_FLAGS_RESOLVED
 
 
 class TestMemoryCommand:

@@ -2,7 +2,8 @@
 
 Any change to the arithmetic of the mixture, the gate, the losses or the
 model shows up here first: the seed-0 default run must write exactly
-these bytes.
+these bytes. The resolved config pins the serialized schema as well: key
+names, key order and number formatting.
 """
 import hashlib
 
@@ -12,6 +13,7 @@ from gmmadapt.runner import run_adapt
 PINNED = {
     "metrics.jsonl": "607df1d66ac04d22a711cafcd035b8bffece221b96fa521a7772efb096589081",
     "gmm.ckpt": "5ae2e88e28711ad4339c8638f3f0843f8d17c32a3f2a8ea08d3901cf7c3c98c2",
+    "config.resolved.json": "bd6f572c7b5fb38fdfad4af4852ab9c91974bdc59b93e900e67dd119d1403922",
 }
 
 
