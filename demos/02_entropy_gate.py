@@ -7,7 +7,7 @@ thresholds are discarded from adaptation rather than guessed at.
 """
 import numpy as np
 
-from gmmadapt import DISCARDED, ThresholdState, normalized_entropy
+from gmmadapt import DISCARDED, ThresholdState, normalized_entropy_rows
 
 rng = np.random.default_rng(1)
 n_classes, batch = 9, 64
@@ -26,7 +26,7 @@ def fake_batch():
 
 for k in range(1, 31):
     probs = fake_batch()
-    entropies = np.array([normalized_entropy(p) for p in probs])
+    entropies = normalized_entropy_rows(probs)
     ts.calibrate(entropies)
     if k in (1, 2, 10, 30):
         labels = ts.pseudo_label_batch(probs, entropies)

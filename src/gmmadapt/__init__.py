@@ -9,7 +9,7 @@ from .config import RunConfig, default_config, load_config
 from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, h_score, memory_report, score_batch
 from .objectives import combined_loss, contrastive_loss, kld_loss
-from .ood_gate import DISCARDED, ThresholdState, normalized_entropy, normalized_entropy_rows
+from .ood_gate import DISCARDED, ThresholdState, normalized_entropy_rows
 from .runner import adapt_stream, build_task, replay, run_adapt, run_memory, run_sweep
 from .simulator import DomainSpec, ShiftSpec, StreamBatch, TargetStream, make_task
 from .toy_model import ForwardCache, OptimizerConfig, ToyModel, augment, train_source
@@ -41,7 +41,6 @@ __all__ = [
     "load_config",
     "make_task",
     "memory_report",
-    "normalized_entropy",
     "normalized_entropy_rows",
     "replay",
     "run_adapt",

@@ -3,7 +3,9 @@
 Subcommands: train-source, adapt, sweep, memory, replay. Every config key
 has a flag of the same name with dashes (nested keys join their path);
 flags override the JSON config, which overrides the defaults. Exit codes:
-0 success, 2 config error, 3 numerical failure.
+0 success, 2 config error (including a file that cannot be read or
+written, and a --model that does not match the config), 3 numerical
+failure.
 
 The default output root is ./runs, overridable via the GMMADAPT_RUNS
 environment variable.
@@ -15,11 +17,10 @@ import json
 import sys
 from pathlib import Path
 
-from .config import LOSS_MODES, RunConfig, load_config
+from .config import RunConfig, config_keys, load_config
 from .errors import ConfigError, GmmAdaptError, NumericalFailure
 from .metrics import MemoryModelInputs
 from .runner import (
-    ENV_OUTPUT_ROOT,
     build_task,
     memory_rows_to_csv,
     replay,
@@ -34,68 +35,31 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# (flag, config path, type) for scalar overrides; None values mean the
-# flag was not given and the key is left untouched.
-_OVERRIDE_FLAGS = [
-    ("seed", ("seed",), int),
-    ("fd", ("fd",), int),
-    ("fd-r", ("fd_r",), int),
-    ("n-b", ("n_b",), int),
-    ("n-batches", ("n_batches",), int),
-    ("p-reject", ("p_reject",), float),
-    ("n-init", ("n_init",), int),
-    ("temperature", ("temperature",), float),
-    ("lambda", ("lambda",), float),
-    ("lr", ("lr",), float),
-    ("momentum", ("momentum",), float),
-    ("loss-mode", ("loss_mode",), str),
-    ("augment-sigma", ("augment_sigma",), float),
-    ("jitter", ("jitter",), float),
-    ("source-epochs", ("source_epochs",), int),
-    ("source-lr", ("source_lr",), float),
-    ("n-source-train", ("n_source_train",), int),
-    ("n-source-holdout", ("n_source_holdout",), int),
-    ("shift-kind", ("shift", "kind"), str),
-    ("shift-n-shared", ("shift", "n_shared"), int),
-    ("shift-n-source-private", ("shift", "n_source_private"), int),
-    ("shift-n-target-private", ("shift", "n_target_private"), int),
-    ("domain-d-in", ("domain", "d_in"), int),
-    ("domain-class-sep", ("domain", "class_sep"), float),
-    ("domain-rotation-seed", ("domain", "rotation_seed"), int),
-    ("domain-rotation-strength", ("domain", "rotation_strength"), float),
-    ("domain-translation-scale", ("domain", "translation_scale"), float),
-    ("domain-noise-sigma-source", ("domain", "noise_sigma_source"), float),
-    ("domain-noise-sigma-target", ("domain", "noise_sigma_target"), float),
-]
+
+def _flag(path: tuple[str, ...]) -> str:
+    return "--" + "-".join(path).replace("_", "-")
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    for flag, _, typ in _OVERRIDE_FLAGS:
-        if flag == "loss-mode":
-            parser.add_argument("--loss-mode", choices=LOSS_MODES)
+    for path, typ in config_keys():
+        if typ is bool:
+            parser.add_argument(_flag(path), action="store_true", default=None)
         else:
-            parser.add_argument(f"--{flag}", type=typ)
-    parser.add_argument(
-        "--unknown-positive-pairs",
-        action="store_true",
-        default=None,
-        help="treat unknown-unknown pairs as contrastive positives (ablation)",
-    )
+            parser.add_argument(_flag(path), type=typ)
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict:
+    """Nested config dict of the flags given; an absent flag is None."""
     overrides: dict = {}
-    for flag, path, _ in _OVERRIDE_FLAGS:
-        value = getattr(args, flag.replace("-", "_"))
+    for path, _ in config_keys():
+        value = getattr(args, "_".join(path))
         if value is None:
             continue
         node = overrides
         for key in path[:-1]:
             node = node.setdefault(key, {})
         node[path[-1]] = value
-    if args.unknown_positive_pairs is not None:
-        overrides["unknown_positive_pairs"] = args.unknown_positive_pairs
     return overrides
 
 
@@ -154,6 +118,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except (GmmAdaptError, ValueError, json.JSONDecodeError) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as err:
+        print(f"file error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 

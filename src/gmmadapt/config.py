@@ -5,12 +5,14 @@ their dataclasses; every scalar key has a CLI flag of the same name with
 underscores replaced by dashes (nested keys join their path, e.g.
 --domain-class-sep). The resolved config echoed into each run directory
 contains every effective parameter, including derived ones, so a run can
-be replayed exactly.
+be replayed exactly. The dataclass fields are the one statement of that
+schema: config_keys derives the flag set from them.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -24,6 +26,11 @@ LOSS_MODES = ("both", "contrastive_only", "kld_only", "none")
 # accuracy) and then frozen; larger rates drift a well-fit model off the
 # anchor over a 200-batch run.
 DEFAULT_LR = 3e-5
+
+# `lambda` is a Python keyword, so the field is `lam`; config files, flags
+# and sweeps call it `lambda`. The only key whose name differs from its field.
+_KEY_OF_FIELD = {"lam": "lambda"}
+_FIELD_OF_KEY = {v: k for k, v in _KEY_OF_FIELD.items()}
 
 
 @dataclass
@@ -97,22 +104,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        doc["lambda"] = doc.pop("lam")
-        doc["shift"] = {
-            "kind": self.shift.kind,
-            "n_shared": self.shift.n_shared,
-            "n_source_private": self.shift.n_source_private,
-            "n_target_private": self.shift.n_target_private,
-        }
-        doc["domain"] = {
-            "d_in": self.domain.d_in,
-            "class_sep": self.domain.class_sep,
-            "rotation_seed": self.domain.rotation_seed,
-            "rotation_strength": self.domain.rotation_strength,
-            "shift_translation": list(self.domain.shift_translation),
-            "noise_sigma_source": self.domain.noise_sigma_source,
-            "noise_sigma_target": self.domain.noise_sigma_target,
-        }
+        for name, key in _KEY_OF_FIELD.items():
+            doc[key] = doc.pop(name)
+        doc["domain"]["shift_translation"] = self.domain.shift_translation.tolist()
         return doc
 
     def resolved_dict(self) -> dict:
@@ -128,8 +122,9 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         doc = dict(doc)
         doc.pop("derived", None)
-        if "lambda" in doc:
-            doc["lam"] = doc.pop("lambda")
+        for key, name in _FIELD_OF_KEY.items():
+            if key in doc:
+                doc[name] = doc.pop(key)
         try:
             shift = ShiftSpec(**doc.pop("shift")) if "shift" in doc else cls().shift
             dom_doc = dict(doc.pop("domain")) if "domain" in doc else None
@@ -143,6 +138,37 @@ class RunConfig:
         except (TypeError, ValueError) as err:
             raise ConfigError(str(err)) from err
         return cfg.validate()
+
+
+def config_keys() -> list[tuple[tuple[str, ...], type]]:
+    """(path, type) of every scalar config key, in declaration order.
+
+    Walks the RunConfig fields and its nested sections under their config
+    names. A `T | None` field has type T; array fields have no key. The
+    scalar domain.translation_scale stands in for the array
+    domain.shift_translation.
+    """
+    keys = []
+
+    def walk(cls, prefix):
+        hints = typing.get_type_hints(cls)
+        for f in fields(cls):
+            args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
+            typ = args[0] if args else hints[f.name]
+            path = prefix + (_KEY_OF_FIELD.get(f.name, f.name),)
+            if is_dataclass(typ):
+                walk(typ, path)
+            elif typ in (bool, int, float, str):
+                keys.append((path, typ))
+
+    walk(RunConfig, ())
+    keys.append((("domain", "translation_scale"), float))
+    return keys
+
+
+def field_name(key: str) -> str:
+    """RunConfig field behind a top-level config key."""
+    return _FIELD_OF_KEY.get(key, key)
 
 
 def _domain_from_dict(doc: dict) -> DomainSpec:

@@ -28,27 +28,15 @@ DISCARDED = -1
 EPS_SEPARATION = 1e-6
 
 
-def normalized_entropy(p: np.ndarray) -> float:
-    """Shannon entropy of a probability vector, normalized to [0, 1].
+def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row of a (n, C) probability matrix, in [0, 1].
 
     Computed as 1 - KL(p || uniform)/log(C) rather than -sum(p log p)/log(C):
-    the forms are identical mathematically, but the KL form makes the
-    uniform vector land on exactly 1.0 in floating point (p*C rounds to 1,
-    log(1) == 0) while one-hot lands on exactly 0.0 in both. A single-class
-    vector returns 0.0 by convention.
+    the forms are identical mathematically, but the KL form makes a uniform
+    row land on exactly 1.0 in floating point (p*C rounds to 1, log(1) == 0)
+    while a one-hot row lands on exactly 0.0 in both. With a single class
+    every row is 0.0 by convention.
     """
-    p = np.asarray(p, dtype=np.float64)
-    n = p.shape[-1]
-    if n == 1:
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(p * n), 0.0)
-    kl = float(np.sum(terms))
-    return float(np.clip(1.0 - kl / np.log(n), 0.0, 1.0))
-
-
-def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:
-    """normalized_entropy applied to each row of a (n, C) matrix."""
     p = np.asarray(p, dtype=np.float64)
     n = p.shape[1]
     if n == 1:

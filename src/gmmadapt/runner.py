@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .config import RunConfig
-from .errors import GmmAdaptError, NumericalFailure
+from .config import RunConfig, config_keys, field_name
+from .errors import ConfigError, GmmAdaptError, NumericalFailure
 from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, memory_report, score_batch, summarize
 from .objectives import contrastive_loss, kld_loss
@@ -31,20 +31,6 @@ from .simulator import SourceSet, TargetStream, make_task
 from .toy_model import OptimizerConfig, ToyModel, accuracy, augment, train_source
 
 ENV_OUTPUT_ROOT = "GMMADAPT_RUNS"
-
-SWEEP_PARAMETERS = {
-    "FD_r": "fd_r",
-    "fd_r": "fd_r",
-    "p_reject": "p_reject",
-    "N_init": "n_init",
-    "n_init": "n_init",
-    "N_b": "n_b",
-    "n_b": "n_b",
-    "lambda": "lam",
-    "lam": "lam",
-    "temperature": "temperature",
-    "lr": "lr",
-}
 
 
 def derive_seeds(seed: int) -> dict[str, int]:
@@ -182,14 +168,15 @@ def run_adapt(cfg: RunConfig, out_dir: Path, model_path: str | None = None) -> d
     Layout: config.resolved.json, metrics.jsonl, metrics.csv,
     thresholds.csv, model.ckpt, gmm.ckpt, summary.json.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     source, stream = build_task(cfg)
     if model_path is not None:
         model = ToyModel.load(model_path)
+        _check_model_matches(model, cfg, model_path)
         source_holdout_acc = accuracy(model, source.x_holdout, source.y_holdout)
     else:
         model, source_holdout_acc, _ = train_source_model(cfg, source)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     result = adapt_stream(cfg, model, stream)
     summary = result.summary(cfg)
@@ -214,6 +201,20 @@ def run_adapt(cfg: RunConfig, out_dir: Path, model_path: str | None = None) -> d
     return summary
 
 
+def _check_model_matches(model: ToyModel, cfg: RunConfig, model_path) -> None:
+    """A loaded model must have the shapes the config asks for."""
+    pairs = {
+        "domain.d_in": (model.d_in, cfg.domain.d_in),
+        "fd": (model.fd, cfg.fd),
+        "fd_r": (model.fd_r, cfg.fd_r),
+        "n_source_classes": (model.n_classes, cfg.shift.n_source_classes),
+    }
+    wrong = [f"{key} is {got} in the model, {want} in the config"
+             for key, (got, want) in pairs.items() if got != want]
+    if wrong:
+        raise ConfigError(f"model {model_path} does not match the config: " + "; ".join(wrong))
+
+
 def replay(run_dir: Path) -> dict:
     """Re-score a stored run from its metric log, without re-adaptation.
 
@@ -236,19 +237,25 @@ def run_sweep(
 ) -> list[dict]:
     """Cross product of values x repeats, one row of aggregated means per value.
 
-    Repeats use seeds base.seed + r so the same seeds pair up across
-    values. When sweeping the batch size, the compensation mode rescales
-    n_init to hold n_init * n_b (samples used for initialization) constant.
+    Any top-level int or float key can be swept except seed, which the
+    repeats own: repeats use seeds base.seed + r so the same seeds pair up
+    across values. The parameter is named by its config key or its field
+    name, in any case (lambda, lam, FD_r, N_b). When sweeping the batch
+    size, the compensation mode rescales n_init to hold n_init * n_b
+    (samples used for initialization) constant.
     """
-    if parameter not in SWEEP_PARAMETERS:
+    sweepable = {}
+    for path, typ in config_keys():
+        if len(path) == 1 and typ in (int, float) and path != ("seed",):
+            sweepable[path[0]] = sweepable[field_name(path[0])] = field_name(path[0])
+    name = sweepable.get(parameter.lower())
+    if name is None:
         raise GmmAdaptError(
-            f"unknown sweep parameter {parameter!r}; choose from "
-            f"{sorted(set(SWEEP_PARAMETERS))}"
+            f"unknown sweep parameter {parameter!r}; choose from {sorted(sweepable)}"
         )
     if repeats < 1:
         raise GmmAdaptError("repeats must be at least 1")
-    field_name = SWEEP_PARAMETERS[parameter]
-    if compensate_n_init and field_name != "n_b":
+    if compensate_n_init and name != "n_b":
         raise GmmAdaptError("n_init compensation only applies to batch-size sweeps")
 
     out_dir = Path(out_dir)
@@ -257,18 +264,16 @@ def run_sweep(
     for value in values:
         results = []
         for rep in range(repeats):
-            doc = base.to_dict()
-            doc[_config_key(field_name)] = value
-            doc["seed"] = base.seed + rep
+            cfg = replace(base, seed=base.seed + rep, **{name: value})
             if compensate_n_init:
-                doc["n_init"] = max(1, int(np.floor(base.n_init * base.n_b / value + 0.5)))
-            cfg = RunConfig.from_dict(doc)
-            run_name = f"{field_name}={value}_rep{rep}"
+                cfg.n_init = max(1, int(np.floor(base.n_init * base.n_b / value + 0.5)))
+            cfg.validate()
+            run_name = f"{name}={value}_rep{rep}"
             summary = run_adapt(cfg, out_dir / run_name)
             results.append(summary["full_run"]["primary_metric"])
         rows.append(
             {
-                "parameter": field_name,
+                "parameter": name,
                 "value": value,
                 "n_runs": repeats,
                 "mean_primary_metric": float(np.mean(results)),
@@ -283,10 +288,6 @@ def run_sweep(
     ]
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
     return rows
-
-
-def _config_key(field_name: str) -> str:
-    return "lambda" if field_name == "lam" else field_name
 
 
 def run_memory(inputs: MemoryModelInputs, class_lo: int, class_hi: int) -> list[dict]:

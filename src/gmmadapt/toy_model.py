@@ -160,8 +160,13 @@ class ToyModel:
                 raise ValueError(f"unsupported checkpoint version {meta.get('format_version')!r}")
             model = cls(meta["d_in"], meta["fd"], meta["fd_r"], meta["n_classes"], meta["seed"])
             for k in PARAM_NAMES:
-                model.params[k] = data[f"param_{k}"].copy()
-                model.velocity[k] = data[f"vel_{k}"].copy()
+                for prefix, store in (("param", model.params), ("vel", model.velocity)):
+                    array = data[f"{prefix}_{k}"]
+                    if array.shape != store[k].shape:
+                        raise DimensionMismatch(
+                            f"checkpoint array {prefix}_{k} has shape {array.shape}, "
+                            f"expected {store[k].shape} from its metadata")
+                    store[k] = array.copy()
         return model
 
 

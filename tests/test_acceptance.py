@@ -15,7 +15,7 @@ from gmmadapt.cli import main
 from gmmadapt.config import default_config
 from gmmadapt.gmm_stream import GaussianMixtureStream
 from gmmadapt.objectives import contrastive_loss, kld_loss
-from gmmadapt.ood_gate import DISCARDED, ThresholdState, normalized_entropy, normalized_entropy_rows
+from gmmadapt.ood_gate import DISCARDED, ThresholdState, normalized_entropy_rows
 from gmmadapt.runner import adapt_stream, build_task, train_source_model
 from gmmadapt.toy_model import ToyModel, cross_entropy_loss, softmax
 
@@ -215,12 +215,12 @@ def test_criterion_4_entropy_gate_properties():
     details.append(f"{total} random vectors in [0,1]")
 
     for n in (2, 3, 4, 9, 12, 345):
-        if normalized_entropy(np.full(n, 1.0 / n)) != 1.0:
+        if normalized_entropy_rows(np.full((1, n), 1.0 / n))[0] != 1.0:
             ok = False
             details.append(f"uniform C={n} != 1.0")
-        hot = np.zeros(n)
-        hot[0] = 1.0
-        if normalized_entropy(hot) != 0.0:
+        hot = np.zeros((1, n))
+        hot[0, 0] = 1.0
+        if normalized_entropy_rows(hot)[0] != 0.0:
             ok = False
             details.append(f"one-hot C={n} != 0.0")
     details.append("uniform==1.0 and one-hot==0.0 exactly")

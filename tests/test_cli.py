@@ -198,10 +198,47 @@ class TestAdaptCommand:
         assert code == 2
         assert not (out / "summary.json").exists()
 
+    def test_bad_loss_mode_is_config_error(self, tmp_path, small_config, capsys):
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--out", str(out),
+                     "--loss-mode", "off"]) == 2
+        assert "config error: loss_mode must be one of" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--fd-r", "4"], "fd_r is 8 in the model, 4 in the config"),
+        (["--shift-n-shared", "4"], "n_source_classes is 5 in the model, 6 in the config"),
+        (["--fd", "16"], "fd is 32 in the model, 16 in the config"),
+    ], ids=["fd_r", "n_shared", "fd"])
+    def test_model_not_matching_config_is_config_error(self, tmp_path, small_config, capsys,
+                                                       flags, key):
+        ckpt = tmp_path / "source.ckpt"
+        assert main(["train-source", "--config", str(small_config), "--out", str(ckpt)]) == 0
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--out", str(out),
+                     "--model", str(ckpt)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not (out / "summary.json").exists()
+
     def test_env_var_output_root(self, tmp_path, small_config, monkeypatch):
         monkeypatch.setenv("GMMADAPT_RUNS", str(tmp_path / "root"))
         assert main(["adapt", "--config", str(small_config)]) == 0
         assert (tmp_path / "root" / "adapt" / "summary.json").exists()
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv", [
+        ["replay", "{missing}"],
+        ["train-source", "--config", "{missing}.json", "--out", "{tmp}/model.ckpt"],
+        ["adapt", "--model", "{missing}.ckpt", "--n-batches", "2", "--out", "{tmp}/run"],
+    ], ids=["replay-dir", "config", "model"])
+    def test_missing_path_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        argv = [a.format(missing=tmp_path / "missing", tmp=tmp_path) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path / "missing") in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestReplayCommand:
@@ -237,6 +274,22 @@ class TestSweepCommand:
     def test_unknown_parameter_rejected(self, tmp_path, small_config, capsys):
         assert main(["sweep", "--config", str(small_config), "--out", str(tmp_path / "s"),
                      "--parameter", "nope", "--values", "1"]) == 2
+
+    @pytest.mark.parametrize("parameter", ["seed", "loss_mode", "unknown_positive_pairs",
+                                           "shift_n_shared"])
+    def test_seed_and_non_numeric_keys_not_sweepable(self, tmp_path, small_config, capsys,
+                                                     parameter):
+        assert main(["sweep", "--config", str(small_config), "--out", str(tmp_path / "s"),
+                     "--parameter", parameter, "--values", "1"]) == 2
+        assert "unknown sweep parameter" in capsys.readouterr().err
+
+    def test_any_top_level_number_sweeps_by_any_case(self, tmp_path, small_config):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--parameter", "MOMENTUM", "--values", "0.5"]) == 0
+        resolved = json.loads((out / "momentum=0.5_rep0" / "config.resolved.json").read_text())
+        assert resolved["momentum"] == 0.5
+        assert (out / "sweep.csv").read_text().splitlines()[1].startswith("momentum,0.5,1,")
 
     def test_single_value_single_repeat_degenerates_to_adapt(self, tmp_path, small_config):
         out = tmp_path / "sweep"

@@ -2,37 +2,47 @@ import numpy as np
 import pytest
 
 from gmmadapt.errors import AlreadyFrozen, BatchTooSmall, Uncalibrated
-from gmmadapt.ood_gate import (
-    DISCARDED,
-    ThresholdState,
-    normalized_entropy,
-    normalized_entropy_rows,
-)
+from gmmadapt.ood_gate import DISCARDED, ThresholdState, normalized_entropy_rows
+
+
+def entropy_one(p):
+    """Batch entropy of a single probability vector."""
+    return float(normalized_entropy_rows(np.asarray(p, dtype=float)[None, :])[0])
+
+
+def reference_entropy(p):
+    """1 - KL(p || uniform)/log(C) for one vector, written out in the test."""
+    n = p.shape[-1]
+    if n == 1:
+        return 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log(p * n), 0.0)
+    return float(np.clip(1.0 - float(np.sum(terms)) / np.log(n), 0.0, 1.0))
 
 
 class TestNormalizedEntropy:
     def test_uniform_is_exactly_one(self):
         for n in (2, 3, 4, 9, 12, 345):
-            assert normalized_entropy(np.full(n, 1.0 / n)) == 1.0
+            assert entropy_one(np.full(n, 1.0 / n)) == 1.0
 
     def test_one_hot_is_exactly_zero(self):
         for n in (2, 4, 12):
             p = np.zeros(n)
             p[1] = 1.0
-            assert normalized_entropy(p) == 0.0
+            assert entropy_one(p) == 0.0
 
     def test_half_split_four_classes(self):
-        assert normalized_entropy(np.array([0.5, 0.5, 0.0, 0.0])) == 0.5
+        assert entropy_one(np.array([0.5, 0.5, 0.0, 0.0])) == 0.5
 
     def test_single_class_convention(self):
-        assert normalized_entropy(np.array([1.0])) == 0.0
+        assert entropy_one(np.array([1.0])) == 0.0
 
     def test_range_and_extremes_random(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             n = int(rng.integers(2, 20))
             p = rng.dirichlet(np.full(n, rng.uniform(0.05, 5.0)))
-            val = normalized_entropy(p)
+            val = entropy_one(p)
             assert 0.0 <= val <= 1.0
             if not np.allclose(p, 1.0 / n):
                 assert val < 1.0
@@ -42,7 +52,7 @@ class TestNormalizedEntropy:
         p = rng.dirichlet(np.ones(6), size=32)
         rows = normalized_entropy_rows(p)
         for i in range(32):
-            assert rows[i] == normalized_entropy(p[i])
+            assert rows[i] == reference_entropy(p[i])
 
 
 class TestCalibrate:
@@ -125,8 +135,8 @@ def predict_one(ts, softmax_out, p):
 
 
 def reference_pseudo_label(ts, p):
-    """The gate rule written out for one row, via the scalar entropy."""
-    ent = normalized_entropy(p)
+    """The gate rule written out for one row, via the reference entropy."""
+    ent = reference_entropy(p)
     if ent <= ts.tau_k:
         return int(np.argmax(p))
     if ent >= ts.tau_u:
@@ -135,8 +145,8 @@ def reference_pseudo_label(ts, p):
 
 
 def reference_predict(ts, softmax_out, p):
-    """The inference rule written out for one row, via the scalar entropy."""
-    if normalized_entropy(p) <= ts.tau:
+    """The inference rule written out for one row, via the reference entropy."""
+    if reference_entropy(p) <= ts.tau:
         return int(np.argmax(softmax_out))
     return p.shape[-1]
 

@@ -239,6 +239,18 @@ class TestCheckpoint:
             np.testing.assert_array_equal(restored.params[k], model.params[k])
             np.testing.assert_array_equal(restored.velocity[k], model.velocity[k])
 
+    @pytest.mark.parametrize("name", ["param_b_g", "vel_b_g", "param_W_r", "vel_W_h"])
+    def test_tampered_array_shape_rejected(self, tmp_path, name):
+        path = tmp_path / "model.ckpt"
+        ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[name] = arrays[name].ravel()[:1]
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(DimensionMismatch, match=name):
+            ToyModel.load(path)
+
 
 class TestAugment:
     def test_default_sigma_tracks_batch_std(self):
