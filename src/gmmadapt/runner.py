@@ -247,7 +247,8 @@ def run_sweep(
     sweepable = {}
     for path, typ in config_keys():
         if len(path) == 1 and typ in (int, float) and path != ("seed",):
-            sweepable[path[0]] = sweepable[field_name(path[0])] = field_name(path[0])
+            field = field_name(path[0])
+            sweepable[path[0]] = sweepable[field] = field
     name = sweepable.get(parameter.lower())
     if name is None:
         raise GmmAdaptError(
