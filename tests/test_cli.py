@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -136,6 +137,12 @@ class TestMemoryCommand:
         assert len(lines) == 6
         assert capsys.readouterr().out.strip().splitlines() == lines
 
+    def test_default_table_bytes_pinned(self, capsys):
+        assert main(["memory", "--classes", "1:345"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == (
+            "1572601760d192a55cfde502f8609df0f38b5b5001109b6a3a0e38ecf51d631d")
+
     def test_invalid_fd_r_exits_config(self, capsys):
         assert main(["memory", "--fd-r", "0", "--classes", "12:12"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -161,6 +168,28 @@ class TestAdaptCommand:
         assert len(csv_lines) == 1 + 12
         thr_lines = (out_a / "thresholds.csv").read_text().splitlines()
         assert thr_lines[0] == "batch,tau_k,tau_u"
+
+    @pytest.mark.parametrize("flags,metrics_digest,model_digest", [
+        (["--loss-mode", "none"],
+         "57299a9d0172705445ae3269602a45bdd70ea9389175451614a21584d1aa946b",
+         "2f0638e663b3667b6f165408a4552dc6a341497cb8162a57a4ec9a0ef1079eea"),
+        (["--loss-mode", "kld_only"],
+         "75b8f32c5078fb82610446390fb56f6de7c55ebd9512100406861539d28f1a11",
+         "c3ee514c174d2f5d90205667b99a263a872e08ad8f4e303a8617c7fed3d98b3b"),
+        (["--loss-mode", "contrastive_only"],
+         "734201072b66a3a9564065a6882a946588c2c4ca0f74a2350ea08919a386c7f8",
+         "8c20b3786b766d19993990330994f8754c1368d7de827554adf6b64158335776"),
+        (["--loss-mode", "both", "--unknown-positive-pairs"],
+         "0cb0f4ad8376c37727fc094e32d385ce7ba88520f7b2aaa937c04bae5a74a476",
+         "faba3754c8544c9eda1705452058b8a5228f513f2e97cd8559cd5786c0072d7e"),
+    ], ids=["none", "kld_only", "contrastive_only", "both-unknown-pairs"])
+    def test_loss_mode_bytes_pinned(self, tmp_path, small_config, flags, metrics_digest,
+                                    model_digest):
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--out", str(out)] + flags) == 0
+        digests = [hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("metrics.jsonl", "model.ckpt")]
+        assert digests == [metrics_digest, model_digest]
 
     def test_flag_overrides_config(self, tmp_path, small_config):
         out = tmp_path / "run"
@@ -260,6 +289,17 @@ class TestSweepCommand:
         assert len(lines) == 3
         assert (out / "lam=0_rep0" / "summary.json").exists()
         assert (out / "lam=1_rep1" / "summary.json").exists()
+
+    def test_sweep_table_bytes_pinned(self, tmp_path, small_config):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--parameter", "p_reject", "--values", "40,60.5", "--repeats", "2",
+                     "--n-batches", "6"]) == 0
+        assert (out / "sweep.csv").read_text() == (
+            "parameter,value,n_runs,mean_primary_metric,std_primary_metric\n"
+            "p_reject,40,2,0.6766770299636757,0.08419253525371578\n"
+            "p_reject,60.5,2,0.671036961200142,0.11843672301038422\n"
+        )
 
     def test_batch_size_sweep_with_compensation(self, tmp_path, small_config):
         out = tmp_path / "sweep"

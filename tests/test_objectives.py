@@ -110,6 +110,18 @@ class TestContrastiveLoss:
                     num[i, d] = (lu - ld) / (2 * h)
             assert np.linalg.norm(grad - num) / max(np.linalg.norm(num), 1e-12) < 1e-4
 
+    def test_read_only_prototypes_accepted_and_untouched(self):
+        # the runner passes the mixture's live means array
+        rng = np.random.default_rng(9)
+        feats, labels, protos = random_instance(rng)
+        frozen = protos.copy()
+        frozen.flags.writeable = False
+        loss, grad = contrastive_loss(feats, labels, frozen, 3, 0.1)
+        expected_loss, expected_grad = contrastive_loss(feats, labels, protos.copy(), 3, 0.1)
+        assert loss == expected_loss
+        np.testing.assert_array_equal(grad, expected_grad)
+        np.testing.assert_array_equal(frozen, protos)
+
     def test_no_gradient_to_discarded_features(self):
         rng = np.random.default_rng(8)
         feats, labels, protos = random_instance(rng)
