@@ -40,7 +40,7 @@ print(f"\nfrozen after {ts.batches_seen} batches: tau_k={ts.tau_k:.3f} "
       f"tau_u={ts.tau_u:.3f}, inference tau={ts.tau:.3f}")
 
 probs = fake_batch()
-preds = ts.predict_batch(probs, probs)
+preds = ts.predict_batch(probs, probs, normalized_entropy_rows(probs))
 print(f"inference on a fresh batch: {int((preds < n_classes).sum())} known, "
       f"{int((preds == n_classes).sum())} rejected as unknown "
       f"(every sample gets a verdict)")

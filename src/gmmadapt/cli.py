@@ -19,10 +19,10 @@ from pathlib import Path
 
 from .config import RunConfig, config_keys, load_config
 from .errors import ConfigError, GmmAdaptError, NumericalFailure
-from .metrics import MemoryModelInputs
+from .metrics import MemoryModelInputs, csv_text
 from .runner import (
+    MEMORY_COLUMNS,
     build_task,
-    memory_rows_to_csv,
     replay,
     resolve_output_dir,
     run_adapt,
@@ -161,8 +161,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         lo, hi = _parse_span(args.classes)
         inputs = MemoryModelInputs(args.fd, args.fd_r, max(lo, 1), args.queue_len,
                                    args.teacher_params)
-        rows = run_memory(inputs, lo, hi)
-        text = memory_rows_to_csv(rows, Path(args.out) if args.out else None)
+        text = csv_text(run_memory(inputs, lo, hi), MEMORY_COLUMNS)
+        if args.out:
+            Path(args.out).write_text(text)
         print(text, end="")
         return EXIT_OK
 

@@ -27,6 +27,7 @@ one likelihood call and are never stored, so the state is exactly what
 """
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -70,12 +71,7 @@ class GaussianMixtureStream:
         self.mass = np.zeros(n_classes)
 
     def copy(self) -> "GaussianMixtureStream":
-        dup = GaussianMixtureStream(self.n_classes, self.dim, self.jitter)
-        dup.batch_counter = self.batch_counter
-        dup.means = self.means.copy()
-        dup.cov_packed = self.cov_packed.copy()
-        dup.mass = self.mass.copy()
-        return dup
+        return copy.deepcopy(self)
 
     def update(self, feats: np.ndarray, weights: np.ndarray) -> "GaussianMixtureStream":
         """Fold one batch into the mixture (one recursion step per class).
@@ -157,8 +153,8 @@ class GaussianMixtureStream:
         return idx, self.means[idx]
 
     def memory_footprint(self) -> int:
-        """Stored reals: (dim + dim(dim+1)/2 + 1) per class, batch-count free."""
-        return (self.dim + linalg.packed_size(self.dim) + 1) * self.n_classes
+        """Stored reals: the sizes of the three state arrays."""
+        return self.means.size + self.cov_packed.size + self.mass.size
 
     # -- snapshot serialization ------------------------------------------
     # JSON object, field order fixed: format_version, n_classes, dim,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -256,12 +257,20 @@ def read_jsonl(path) -> list[RunRecord]:
     return records
 
 
-def write_csv(records: list[RunRecord], path) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in records:
-            cells = []
-            for k in CSV_COLUMNS:
-                v = getattr(r, k)
-                cells.append("" if v is None else repr(v) if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")
+def csv_text(rows, columns) -> str:
+    """Header line plus one line per row, a dict or an object with the
+    columns as attributes: None is an empty cell, a float its repr,
+    anything else str.
+    """
+    def cell(v):
+        return "" if v is None else repr(v) if isinstance(v, float) else str(v)
+
+    lines = [",".join(columns)]
+    for row in rows:
+        values = row if isinstance(row, dict) else vars(row)
+        lines.append(",".join(cell(values[k]) for k in columns))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(rows, path, columns=CSV_COLUMNS) -> None:
+    Path(path).write_text(csv_text(rows, columns))

@@ -115,17 +115,15 @@ class ThresholdState:
         if self.batches_seen < 1:
             raise Uncalibrated("thresholds have not seen any calibration batch")
 
-    def pseudo_label_batch(self, p: np.ndarray, entropies: np.ndarray | None = None) -> np.ndarray:
+    def pseudo_label_batch(self, p: np.ndarray, entropies: np.ndarray) -> np.ndarray:
         """Three-way pseudo-label per row of likelihood vectors p.
 
         A row gets its argmax class (ties to the lowest index) when its
         entropy is at most tau_k, the unknown class C when it is at least
-        tau_u, and DISCARDED in between. Precomputed entropies optional.
+        tau_u, and DISCARDED in between. entropies: normalized_entropy_rows(p).
         """
         self._require_calibrated()
         p = np.asarray(p, dtype=np.float64)
-        if entropies is None:
-            entropies = normalized_entropy_rows(p)
         labels = np.full(p.shape[0], DISCARDED, dtype=int)
         known = entropies <= self.tau_k
         unknown = entropies >= self.tau_u
@@ -133,23 +131,17 @@ class ThresholdState:
         labels[unknown] = p.shape[1]
         return labels
 
-    def predict_batch(
-        self,
-        softmax_outs: np.ndarray,
-        p: np.ndarray,
-        entropies: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def predict_batch(self, softmax_outs: np.ndarray, p: np.ndarray,
+                      entropies: np.ndarray) -> np.ndarray:
         """Inference rule per aligned row: classifier argmax gated by entropy.
 
         The class decision uses the model softmax, the gate uses the
-        mixture likelihood entropy against tau = (tau_k + tau_u)/2; the
-        boundary entropy == tau routes to the known branch.
+        entropies of the mixture likelihoods p against tau = (tau_k +
+        tau_u)/2; the boundary entropy == tau routes to the known branch.
         """
         self._require_calibrated()
         p = np.asarray(p, dtype=np.float64)
         softmax_outs = np.asarray(softmax_outs, dtype=np.float64)
-        if entropies is None:
-            entropies = normalized_entropy_rows(p)
         preds = np.full(p.shape[0], p.shape[1], dtype=int)
         known = entropies <= self.tau
         preds[known] = np.argmax(softmax_outs[known], axis=1)

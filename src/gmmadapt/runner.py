@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -108,30 +108,25 @@ def adapt_stream(cfg: RunConfig, model: ToyModel, stream: TargetStream) -> Adapt
             preds = thresholds.predict_batch(cache.probs, likelihoods, entropies)
             counts, rates = score_batch(batch.true_labels, preds, pseudo, n_classes)
 
+            # The mixture means are the prototypes: a massless mode holds a
+            # zero mean, and no pseudo-label names it.
             loss_c = loss_k = 0.0
-            if use_contrastive or use_kld:
-                grads = None
-                d_logits = None
-                if use_kld:
-                    loss_k, d_logits_raw = kld_loss(cache.probs, pseudo, n_classes)
-                    d_logits = cfg.lam * d_logits_raw
+            d_logits = d_reduced = None
+            if use_kld:
+                loss_k, d_logits = kld_loss(cache.probs, pseudo, n_classes)
+                d_logits = cfg.lam * d_logits
+            if use_contrastive:
+                cache_aug = model.forward(augment(batch.inputs, aug_rng, cfg.augment_sigma))
+                loss_c, d_feats = contrastive_loss(
+                    np.vstack([cache.reduced, cache_aug.reduced]), np.concatenate([pseudo, pseudo]),
+                    gmm.means, n_classes, cfg.temperature, cfg.unknown_positive_pairs,
+                )
+                d_reduced, d_reduced_aug = np.split(d_feats, 2)
+            if use_kld or use_contrastive:
+                grads = model.backward(cache, d_reduced=d_reduced, d_logits=d_logits)
                 if use_contrastive:
-                    x_aug = augment(batch.inputs, aug_rng, cfg.augment_sigma)
-                    cache_aug = model.forward(x_aug)
-                    feats = np.vstack([cache.reduced, cache_aug.reduced])
-                    labels = np.concatenate([pseudo, pseudo])
-                    protos = np.zeros((n_classes, cfg.fd_r))
-                    idx, means = gmm.prototypes()
-                    protos[idx] = means
-                    loss_c, d_feats = contrastive_loss(
-                        feats, labels, protos, n_classes, cfg.temperature,
-                        cfg.unknown_positive_pairs,
-                    )
-                    n = batch.inputs.shape[0]
-                    grads = model.backward(cache, d_reduced=d_feats[:n], d_logits=d_logits)
-                    _add_grads(grads, model.backward(cache_aug, d_reduced=d_feats[n:]))
-                else:
-                    grads = model.backward(cache, d_logits=d_logits)
+                    for name, grad in model.backward(cache_aug, d_reduced=d_reduced_aug).items():
+                        grads[name] += grad
                 model.sgd_step(grads, optimizer)
         except GmmAdaptError as err:
             raise NumericalFailure(batch.batch_index, err) from err
@@ -148,11 +143,6 @@ def adapt_stream(cfg: RunConfig, model: ToyModel, stream: TargetStream) -> Adapt
             )
         )
     return AdaptResult(records, model, gmm, thresholds)
-
-
-def _add_grads(into: dict[str, np.ndarray], other: dict[str, np.ndarray]) -> None:
-    for k, v in other.items():
-        into[k] += v
 
 
 def resolve_output_dir(explicit: str | None, default_name: str) -> Path:
@@ -191,10 +181,7 @@ def run_adapt(cfg: RunConfig, out_dir: Path, model_path: str | None = None) -> d
 
     metrics.write_jsonl(result.records, out_dir / "metrics.jsonl")
     metrics.write_csv(result.records, out_dir / "metrics.csv")
-    with open(out_dir / "thresholds.csv", "w") as fh:
-        fh.write("batch,tau_k,tau_u\n")
-        for r in result.records:
-            fh.write(f"{r.batch},{r.tau_k!r},{r.tau_u!r}\n")
+    metrics.write_csv(result.records, out_dir / "thresholds.csv", ("batch", "tau_k", "tau_u"))
     result.model.save(out_dir / "model.ckpt")
     (out_dir / "gmm.ckpt").write_text(result.gmm.to_snapshot())
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
@@ -261,6 +248,7 @@ def run_sweep(
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    columns = ("parameter", "value", "n_runs", "mean_primary_metric", "std_primary_metric")
     rows = []
     for value in values:
         results = []
@@ -272,55 +260,18 @@ def run_sweep(
             run_name = f"{name}={value}_rep{rep}"
             summary = run_adapt(cfg, out_dir / run_name)
             results.append(summary["full_run"]["primary_metric"])
-        rows.append(
-            {
-                "parameter": name,
-                "value": value,
-                "n_runs": repeats,
-                "mean_primary_metric": float(np.mean(results)),
-                "std_primary_metric": float(np.std(results)),
-            }
-        )
-    header = "parameter,value,n_runs,mean_primary_metric,std_primary_metric"
-    lines = [header] + [
-        f"{r['parameter']},{r['value']},{r['n_runs']},"
-        f"{r['mean_primary_metric']!r},{r['std_primary_metric']!r}"
-        for r in rows
-    ]
-    (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
+        stats = (name, value, repeats, float(np.mean(results)), float(np.std(results)))
+        rows.append(dict(zip(columns, stats)))
+    metrics.write_csv(rows, out_dir / "sweep.csv", columns)
     return rows
+
+
+MEMORY_COLUMNS = ("n_classes", "n_gmm", "n_queue", "n_teacher", "ratio_queue", "ratio_teacher")
 
 
 def run_memory(inputs: MemoryModelInputs, class_lo: int, class_hi: int) -> list[dict]:
-    """Memory-model table rows for every class count in [class_lo, class_hi]."""
+    """MEMORY_COLUMNS rows for every class count in [class_lo, class_hi]."""
     if class_lo < 1 or class_hi < class_lo:
         raise GmmAdaptError("class range must satisfy 1 <= lo <= hi")
-    rows = []
-    for n in range(class_lo, class_hi + 1):
-        rep = memory_report(
-            MemoryModelInputs(inputs.fd, inputs.fd_r, n, inputs.queue_len, inputs.teacher_params)
-        )
-        rows.append(
-            {
-                "n_classes": n,
-                "n_gmm": rep.n_gmm,
-                "n_queue": rep.n_queue,
-                "n_teacher": rep.n_teacher,
-                "ratio_queue": rep.ratio_queue,
-                "ratio_teacher": rep.ratio_teacher,
-            }
-        )
-    return rows
-
-
-def memory_rows_to_csv(rows: list[dict], path: Path | None) -> str:
-    header = "n_classes,n_gmm,n_queue,n_teacher,ratio_queue,ratio_teacher"
-    lines = [header] + [
-        f"{r['n_classes']},{r['n_gmm']},{r['n_queue']},{r['n_teacher']},"
-        f"{r['ratio_queue']!r},{r['ratio_teacher']!r}"
-        for r in rows
-    ]
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return [{"n_classes": n, **asdict(memory_report(replace(inputs, n_classes=n)))}
+            for n in range(class_lo, class_hi + 1)]

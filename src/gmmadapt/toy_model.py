@@ -9,6 +9,7 @@ reduced features.
 """
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -70,12 +71,7 @@ class ToyModel:
         self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def copy(self) -> "ToyModel":
-        dup = ToyModel.__new__(ToyModel)
-        dup.d_in, dup.fd, dup.fd_r = self.d_in, self.fd, self.fd_r
-        dup.n_classes, dup.seed = self.n_classes, self.seed
-        dup.params = {k: v.copy() for k, v in self.params.items()}
-        dup.velocity = {k: v.copy() for k, v in self.velocity.items()}
-        return dup
+        return copy.deepcopy(self)
 
     def forward(self, x: np.ndarray) -> ForwardCache:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -227,7 +227,8 @@ def test_criterion_4_entropy_gate_properties():
 
     ts = ThresholdState(n_init=30, p_reject=50.0, tau_k=0.3, tau_u=0.7, batches_seen=1)
     p_boundary = np.array([0.5, 0.5, 0.0, 0.0])  # entropy exactly 0.5 == tau
-    pred = ts.predict_batch(np.array([[0.1, 0.2, 0.6, 0.1]]), p_boundary[None, :])[0]
+    pred = ts.predict_batch(np.array([[0.1, 0.2, 0.6, 0.1]]), p_boundary[None, :],
+                            normalized_entropy_rows(p_boundary[None, :]))[0]
     if pred != 2:
         ok = False
         details.append("boundary routed to unknown")

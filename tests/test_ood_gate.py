@@ -125,13 +125,15 @@ class TestCalibrate:
 
 def pseudo_label_one(ts, p):
     """Batch pseudo-label of a single likelihood vector."""
-    return int(ts.pseudo_label_batch(np.asarray(p, dtype=float)[None, :])[0])
+    p = np.asarray(p, dtype=float)[None, :]
+    return int(ts.pseudo_label_batch(p, normalized_entropy_rows(p))[0])
 
 
 def predict_one(ts, softmax_out, p):
     """Batch prediction for a single aligned (softmax, likelihood) pair."""
-    return int(ts.predict_batch(np.asarray(softmax_out, dtype=float)[None, :],
-                                np.asarray(p, dtype=float)[None, :])[0])
+    p = np.asarray(p, dtype=float)[None, :]
+    return int(ts.predict_batch(np.asarray(softmax_out, dtype=float)[None, :], p,
+                                normalized_entropy_rows(p))[0])
 
 
 def reference_pseudo_label(ts, p):
@@ -184,7 +186,7 @@ class TestPseudoLabel:
         ts = self.make_state()
         rng = np.random.default_rng(6)
         p = rng.dirichlet(np.ones(5), size=40)
-        batch = ts.pseudo_label_batch(p)
+        batch = ts.pseudo_label_batch(p, normalized_entropy_rows(p))
         for i in range(40):
             assert batch[i] == reference_pseudo_label(ts, p[i])
 
@@ -232,6 +234,6 @@ class TestPredict:
         rng = np.random.default_rng(7)
         p = rng.dirichlet(np.ones(4), size=30)
         soft = rng.dirichlet(np.ones(4), size=30)
-        batch = ts.predict_batch(soft, p)
+        batch = ts.predict_batch(soft, p, normalized_entropy_rows(p))
         for i in range(30):
             assert batch[i] == reference_predict(ts, soft[i], p[i])
