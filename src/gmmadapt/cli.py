@@ -3,9 +3,9 @@
 Subcommands: train-source, adapt, sweep, memory, replay. Every config key
 has a flag of the same name with dashes (nested keys join their path);
 flags override the JSON config, which overrides the defaults. Exit codes:
-0 success, 2 config error (including a file that cannot be read or
-written, and a --model that does not match the config), 3 numerical
-failure.
+0 success, 2 config error (including a file that cannot be read,
+written or parsed, and a --model that does not match the config), 3
+numerical failure.
 
 The default output root is ./runs, overridable via the GMMADAPT_RUNS
 environment variable.
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig, config_keys, load_config
-from .errors import ConfigError, GmmAdaptError, NumericalFailure
+from .errors import ConfigError, GmmAdaptError, MalformedFile, NumericalFailure
 from .metrics import MemoryModelInputs, csv_text
 from .runner import (
     MEMORY_COLUMNS,
@@ -42,7 +42,7 @@ def _flag(path: tuple[str, ...]) -> str:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    for path, typ in config_keys():
+    for path, typ, _ in config_keys():
         if typ is bool:
             parser.add_argument(_flag(path), action="store_true", default=None)
         else:
@@ -52,7 +52,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _collect_overrides(args: argparse.Namespace) -> dict:
     """Nested config dict of the flags given; an absent flag is None."""
     overrides: dict = {}
-    for path, _ in config_keys():
+    for path, _, _ in config_keys():
         value = getattr(args, "_".join(path))
         if value is None:
             continue
@@ -116,11 +116,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalFailure as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (GmmAdaptError, ValueError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:
+    except (OSError, MalformedFile) as err:
         print(f"file error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (GmmAdaptError, ValueError) as err:
+        print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
 
@@ -201,6 +201,3 @@ def _parse_span(raw: str) -> tuple[int, int]:
     except ValueError as err:
         raise ConfigError(f"bad class span {raw!r}: {err}") from err
 
-
-if __name__ == "__main__":
-    sys.exit(main())

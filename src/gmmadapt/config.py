@@ -10,6 +10,7 @@ schema: config_keys derives the flag set from them.
 """
 from __future__ import annotations
 
+import functools
 import json
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -31,6 +32,9 @@ DEFAULT_LR = 3e-5
 # and sweeps call it `lambda`. The only key whose name differs from its field.
 _KEY_OF_FIELD = {"lam": "lambda"}
 _FIELD_OF_KEY = {v: k for k, v in _KEY_OF_FIELD.items()}
+
+# The scalar key that stands in for the array domain.shift_translation.
+_SCALE_PATH = ("domain", "translation_scale")
 
 
 @dataclass
@@ -74,6 +78,10 @@ class RunConfig:
     n_source_holdout: int = 900
 
     def validate(self) -> "RunConfig":
+        for path, typ, nullable in config_keys():
+            if path != _SCALE_PATH:  # resolved into shift_translation, not stored
+                owner = functools.reduce(getattr, path[:-1], self)
+                _check_type(path, typ, nullable, getattr(owner, field_name(path[-1])))
         if self.shift.n_source_classes < 2:
             raise ConfigError("need at least 2 source classes")
         if self.fd < 1 or self.fd_r < 1:
@@ -140,30 +148,41 @@ class RunConfig:
         return cfg.validate()
 
 
-def config_keys() -> list[tuple[tuple[str, ...], type]]:
-    """(path, type) of every scalar config key, in declaration order.
+@functools.cache
+def config_keys() -> tuple[tuple[tuple[str, ...], type, bool], ...]:
+    """(path, type, nullable) of every scalar config key, in declaration order.
 
     Walks the RunConfig fields and its nested sections under their config
-    names. A `T | None` field has type T; array fields have no key. The
-    scalar domain.translation_scale stands in for the array
-    domain.shift_translation.
+    names. A `T | None` field has type T and is nullable; array fields have
+    no key. The scalar domain.translation_scale, which may be left out,
+    stands in for the array domain.shift_translation.
     """
     keys = []
 
     def walk(cls, prefix):
         hints = typing.get_type_hints(cls)
         for f in fields(cls):
-            args = [a for a in typing.get_args(hints[f.name]) if a is not type(None)]
-            typ = args[0] if args else hints[f.name]
+            hint = hints[f.name]
+            args = [a for a in typing.get_args(hint) if a is not type(None)]
+            typ = args[0] if args else hint
             path = prefix + (_KEY_OF_FIELD.get(f.name, f.name),)
             if is_dataclass(typ):
                 walk(typ, path)
             elif typ in (bool, int, float, str):
-                keys.append((path, typ))
+                keys.append((path, typ, type(None) in typing.get_args(hint)))
 
     walk(RunConfig, ())
-    keys.append((("domain", "translation_scale"), float))
-    return keys
+    keys.append((_SCALE_PATH, float, True))
+    return tuple(keys)
+
+
+def _check_type(path: tuple[str, ...], typ: type, nullable: bool, value) -> None:
+    """An int key needs a non-bool int, a float key an int or a float."""
+    accepted = (int, float) if typ is float else typ
+    if not (value is None and nullable) and (
+            not isinstance(value, accepted) or isinstance(value, bool) and typ is not bool):
+        null = " or null" if nullable else ""
+        raise ConfigError(f"{'.'.join(path)} must be {typ.__name__}{null}, got {value!r}")
 
 
 def field_name(key: str) -> str:
@@ -174,6 +193,7 @@ def field_name(key: str) -> str:
 def _domain_from_dict(doc: dict) -> DomainSpec:
     doc = dict(doc)
     scale = doc.pop("translation_scale", None)
+    _check_type(_SCALE_PATH, float, True, scale)
     try:
         dom = DomainSpec(**doc)
     except (TypeError, ValueError) as err:

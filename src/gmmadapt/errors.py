@@ -45,6 +45,10 @@ class LengthMismatch(GmmAdaptError, ValueError):
     """Aligned sequences have different lengths."""
 
 
+class MalformedFile(GmmAdaptError, ValueError):
+    """A run file cannot be read back: not the format, truncated, or keys missing or extra."""
+
+
 class ConfigError(GmmAdaptError, ValueError):
     """Run configuration failed validation."""
 

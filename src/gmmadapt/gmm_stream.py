@@ -33,7 +33,7 @@ import json
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NoInitializedMode, NonFiniteInput
+from .errors import DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput
 
 SNAPSHOT_VERSION = 1
 
@@ -180,27 +180,32 @@ class GaussianMixtureStream:
     def from_snapshot(cls, blob: str) -> "GaussianMixtureStream":
         """Load a snapshot, rejecting any mode that does not fit the header.
 
-        Raises DimensionMismatch for a mode count other than n_classes or
-        a mean/cov_packed of the wrong length, and NonFiniteInput for a
+        Raises MalformedFile for another version or a missing field,
+        DimensionMismatch for a mode count other than n_classes or a
+        mean/cov_packed of the wrong length, and NonFiniteInput for a
         non-finite value or a negative weight.
         """
         doc = json.loads(blob)
         if doc.get("format_version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {doc.get('format_version')!r}")
-        state = cls(doc["n_classes"], doc["dim"], doc["jitter"])
-        state.batch_counter = doc["batch_counter"]
-        modes = doc["modes"]
-        if len(modes) != state.n_classes:
-            raise DimensionMismatch(f"{len(modes)} modes for {state.n_classes} classes")
-        for key, size in (("mean", state.dim), ("cov_packed", state.cov_packed.shape[1])):
-            for c, entry in enumerate(modes):
-                if len(entry[key]) != size:
-                    raise DimensionMismatch(
-                        f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
-                    )
-        state.mass = np.array([entry["weight"] for entry in modes], dtype=np.float64)
-        state.means = np.array([entry["mean"] for entry in modes], dtype=np.float64)
-        state.cov_packed = np.array([entry["cov_packed"] for entry in modes], dtype=np.float64)
+            raise MalformedFile(f"unsupported snapshot version {doc.get('format_version')!r}")
+        try:
+            state = cls(doc["n_classes"], doc["dim"], doc["jitter"])
+            state.batch_counter = doc["batch_counter"]
+            modes = doc["modes"]
+            if len(modes) != state.n_classes:
+                raise DimensionMismatch(f"{len(modes)} modes for {state.n_classes} classes")
+            for key, size in (("mean", state.dim), ("cov_packed", state.cov_packed.shape[1])):
+                for c, entry in enumerate(modes):
+                    if len(entry[key]) != size:
+                        raise DimensionMismatch(
+                            f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
+                        )
+            state.mass = np.array([entry["weight"] for entry in modes], dtype=np.float64)
+            state.means = np.array([entry["mean"] for entry in modes], dtype=np.float64)
+            state.cov_packed = np.array([entry["cov_packed"] for entry in modes],
+                                        dtype=np.float64)
+        except KeyError as err:
+            raise MalformedFile(f"snapshot lacks the field {err}") from err
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
             raise NonFiniteInput("mode weights must be finite and nonnegative")
         if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):

@@ -15,12 +15,12 @@ tau_k,tau_u,loss_c,loss_kld.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch
+from .errors import LengthMismatch, MalformedFile
 from .linalg import packed_size
 from .ood_gate import DISCARDED
 
@@ -123,9 +123,17 @@ class RunRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunRecord":
-        counts = BatchCounts(**obj["counts"])
-        fields = {k: obj[k] for k in CSV_COLUMNS}
-        return cls(**fields, counts=counts)
+        """Inverse of to_json_obj; MalformedFile unless the keys are exactly its keys."""
+        _require_keys(obj, CSV_COLUMNS + ("counts",), "record")
+        _require_keys(obj["counts"], [f.name for f in fields(BatchCounts)], "counts")
+        return cls(**{k: obj[k] for k in CSV_COLUMNS}, counts=BatchCounts(**obj["counts"]))
+
+
+def _require_keys(obj, keys, what: str) -> None:
+    got, want = set(obj) if isinstance(obj, dict) else set(), set(keys)
+    if got != want:
+        raise MalformedFile(f"{what} keys: missing {sorted(want - got)}, "
+                            f"unexpected {sorted(got - want)}")
 
 
 def score_batch(
@@ -251,9 +259,12 @@ def write_jsonl(records: list[RunRecord], path) -> None:
 def read_jsonl(path) -> list[RunRecord]:
     records = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                records.append(RunRecord.from_json_obj(json.loads(line)))
+                try:
+                    records.append(RunRecord.from_json_obj(json.loads(line)))
+                except (json.JSONDecodeError, MalformedFile) as err:
+                    raise MalformedFile(f"{path} line {lineno}: {err}") from err
     return records
 
 

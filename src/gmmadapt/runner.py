@@ -232,7 +232,7 @@ def run_sweep(
     (samples used for initialization) constant.
     """
     sweepable = {}
-    for path, typ in config_keys():
+    for path, typ, _ in config_keys():
         if len(path) == 1 and typ in (int, float) and path != ("seed",):
             field = field_name(path[0])
             sweepable[path[0]] = sweepable[field] = field

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import copy
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteGradient, NonFiniteInput
+from .errors import DimensionMismatch, MalformedFile, NonFiniteGradient, NonFiniteInput
 
 PARAM_NAMES = ("W_g", "b_g", "W_r", "b_r", "W_h", "b_h")
 CHECKPOINT_VERSION = 1
@@ -150,19 +151,28 @@ class ToyModel:
 
     @classmethod
     def load(cls, path) -> "ToyModel":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            if meta.get("format_version") != CHECKPOINT_VERSION:
-                raise ValueError(f"unsupported checkpoint version {meta.get('format_version')!r}")
-            model = cls(meta["d_in"], meta["fd"], meta["fd_r"], meta["n_classes"], meta["seed"])
-            for k in PARAM_NAMES:
-                for prefix, store in (("param", model.params), ("vel", model.velocity)):
-                    array = data[f"{prefix}_{k}"]
-                    if array.shape != store[k].shape:
-                        raise DimensionMismatch(
-                            f"checkpoint array {prefix}_{k} has shape {array.shape}, "
-                            f"expected {store[k].shape} from its metadata")
-                    store[k] = array.copy()
+        """Read a checkpoint written by save: MalformedFile for any other
+        file, DimensionMismatch for an array its metadata does not fit.
+        """
+        names = [f"{prefix}_{k}" for k in PARAM_NAMES for prefix in ("param", "vel")]
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data["meta"]))
+                arrays = {name: data[name] for name in names}
+            shape = [meta[key] for key in ("d_in", "fd", "fd_r", "n_classes", "seed")]
+        except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as err:
+            raise MalformedFile(f"{path} is not a model checkpoint: {err!r}") from err
+        if meta.get("format_version") != CHECKPOINT_VERSION:
+            raise MalformedFile(f"unsupported checkpoint version {meta.get('format_version')!r}")
+        model = cls(*shape)
+        for k in PARAM_NAMES:
+            for prefix, store in (("param", model.params), ("vel", model.velocity)):
+                array = arrays[f"{prefix}_{k}"]
+                if array.shape != store[k].shape:
+                    raise DimensionMismatch(
+                        f"checkpoint array {prefix}_{k} has shape {array.shape}, "
+                        f"expected {store[k].shape} from its metadata")
+                store[k] = array
         return model
 
 

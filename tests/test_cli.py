@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gmmadapt
 from gmmadapt.cli import _collect_overrides, build_parser, main
 from gmmadapt.config import load_config
 
@@ -250,6 +248,19 @@ class TestAdaptCommand:
         assert err.startswith("config error:") and key in err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("edit,message", [
+        ({"fd_r": 8.5}, "fd_r must be int, got 8.5"),
+        ({"shift": dict(SMALL_CONFIG["shift"], n_shared=2.0)},
+         "shift.n_shared must be int, got 2.0"),
+    ], ids=["fd_r", "shift.n_shared"])
+    def test_float_in_int_key_is_config_error(self, tmp_path, capsys, edit, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(SMALL_CONFIG, **edit)))
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_env_var_output_root(self, tmp_path, small_config, monkeypatch):
         monkeypatch.setenv("GMMADAPT_RUNS", str(tmp_path / "root"))
         assert main(["adapt", "--config", str(small_config)]) == 0
@@ -268,6 +279,69 @@ class TestUnreadableInput:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and str(tmp_path / "missing") in err
         assert not (tmp_path / "run").exists()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """One small adapt run directory, its source checkpoint and its config."""
+    root = tmp_path_factory.mktemp("small_run")
+    config = root / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    assert main(["train-source", "--config", str(config), "--out", str(root / "source.ckpt")]) == 0
+    assert main(["adapt", "--config", str(config), "--out", str(root / "run"),
+                 "--model", str(root / "source.ckpt")]) == 0
+    return root
+
+
+def _edit_record(run_dir, line, edit):
+    path = run_dir / "metrics.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[line - 1])
+    edit(obj)
+    lines[line - 1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestMalformedRunFiles:
+    """A run file that cannot be read back exits 2 with one line on stderr."""
+
+    def _assert_file_error(self, capsys, argv, *fragments):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("file error:") and err.count("\n") == 1, err
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_truncated_model_checkpoint(self, tmp_path, small_run, capsys):
+        ckpt = tmp_path / "trunc.ckpt"
+        ckpt.write_bytes((small_run / "source.ckpt").read_bytes()[:3000])
+        self._assert_file_error(capsys, ["adapt", "--config", str(small_run / "config.json"),
+                                         "--model", str(ckpt), "--out", str(tmp_path / "run")],
+                                "trunc.ckpt is not a model checkpoint", "BadZipFile")
+        assert not (tmp_path / "run").exists()
+
+    def test_model_checkpoint_without_meta(self, tmp_path, small_run, capsys):
+        with np.load(small_run / "source.ckpt") as data:
+            arrays = {k: data[k] for k in data.files if k != "meta"}
+        ckpt = tmp_path / "nometa.ckpt"
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **arrays)
+        self._assert_file_error(capsys, ["adapt", "--config", str(small_run / "config.json"),
+                                         "--model", str(ckpt), "--out", str(tmp_path / "run")],
+                                "nometa.ckpt is not a model checkpoint", "meta")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda obj: obj["counts"].pop("n_total"), "missing ['n_total']"),
+        (lambda obj: obj["counts"].update(n_extra=1), "unexpected ['n_extra']"),
+        (lambda obj: obj.pop("tau_k"), "missing ['tau_k']"),
+    ], ids=["count_missing", "count_extra", "tau_k_missing"])
+    def test_replay_of_edited_record(self, tmp_path, small_run, capsys, edit, fragment):
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        _edit_record(run_dir, 5, edit)
+        self._assert_file_error(capsys, ["replay", str(run_dir)], "metrics.jsonl line 5:",
+                                fragment)
 
 
 class TestReplayCommand:
@@ -331,6 +405,11 @@ class TestSweepCommand:
         assert resolved["momentum"] == 0.5
         assert (out / "sweep.csv").read_text().splitlines()[1].startswith("momentum,0.5,1,")
 
+    def test_float_value_for_int_key_is_config_error(self, tmp_path, small_config, capsys):
+        assert main(["sweep", "--config", str(small_config), "--out", str(tmp_path / "s"),
+                     "--parameter", "fd_r", "--values", "8.5"]) == 2
+        assert capsys.readouterr().err == "config error: fd_r must be int, got 8.5\n"
+
     def test_single_value_single_repeat_degenerates_to_adapt(self, tmp_path, small_config):
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(small_config), "--out", str(out),
@@ -364,20 +443,24 @@ def _assert_memory_12_row(proc):
 
 
 class TestInstalledEntryPoint:
-    def test_console_script_memory(self):
+    def test_console_script_memory(self, package_env):
         """The declared `gmmadapt` entry point, run as pip's console-script wrapper runs it."""
         tomllib = pytest.importorskip("tomllib")
         with open(REPO_ROOT / "pyproject.toml", "rb") as f:
             target = tomllib.load(f)["project"]["scripts"]["gmmadapt"]
         module, attr = target.split(":")
-        package_parent = Path(gmmadapt.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(package_parent), env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-c", CONSOLE_SCRIPT.format(module=module, attr=attr),
              "memory", "--classes", "12:12"],
-            capture_output=True, text=True, timeout=60, env=env,
+            capture_output=True, text=True, timeout=60, env=package_env,
+        )
+        _assert_memory_12_row(proc)
+
+    def test_python_m_gmmadapt_memory(self, package_env):
+        """`python -m gmmadapt` runs the CLI without an install."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmmadapt", "memory", "--classes", "12:12"],
+            capture_output=True, text=True, timeout=60, env=package_env,
         )
         _assert_memory_12_row(proc)
 

@@ -95,3 +95,57 @@ class TestValidation:
         cfg = default_config()
         np.testing.assert_array_equal(resolve_translation(cfg.domain, 0.0),
                                       np.zeros(cfg.domain.d_in))
+
+
+def load_doc(tmp_path, doc):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return load_config(str(path))
+
+
+SHIFT = {"kind": "OPDA", "n_shared": 6, "n_source_private": 3, "n_target_private": 3}
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("doc,message", [
+        ({"fd_r": 8.5}, "fd_r must be int, got 8.5"),
+        ({"shift": dict(SHIFT, n_shared=2.0)}, "shift.n_shared must be int, got 2.0"),
+    ], ids=["fd_r", "shift.n_shared"])
+    def test_int_key_rejects_float(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("doc", [{"n_b": True}, {"domain": {"rotation_seed": False}}],
+                             ids=["n_b", "domain.rotation_seed"])
+    def test_int_key_rejects_bool(self, tmp_path, doc):
+        with pytest.raises(ConfigError, match="must be int"):
+            load_doc(tmp_path, doc)
+
+    def test_float_key_takes_int_or_float(self, tmp_path):
+        cfg = load_doc(tmp_path, {"p_reject": 40, "temperature": 0.2,
+                                  "domain": {"class_sep": 5}})
+        assert (cfg.p_reject, cfg.temperature, cfg.domain.class_sep) == (40, 0.2, 5)
+
+    @pytest.mark.parametrize("doc", [{"p_reject": True}, {"lambda": "1"},
+                                     {"domain": {"translation_scale": True}}],
+                             ids=["p_reject", "lambda", "domain.translation_scale"])
+    def test_float_key_rejects_bool_and_str(self, tmp_path, doc):
+        with pytest.raises(ConfigError, match="must be float"):
+            load_doc(tmp_path, doc)
+
+    def test_optional_key_takes_null(self, tmp_path):
+        cfg = load_doc(tmp_path, {"augment_sigma": None, "domain": {"rotation_seed": None}})
+        assert cfg.augment_sigma is None and cfg.domain.rotation_seed is None
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"fd": None}, "fd must be int, got None"),
+        ({"unknown_positive_pairs": 1}, "unknown_positive_pairs must be bool, got 1"),
+        ({"loss_mode": None}, "loss_mode must be str, got None"),
+    ], ids=["fd", "unknown_positive_pairs", "loss_mode"])
+    def test_required_key_rejects_null_and_other_types(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError, match=message):
+            load_doc(tmp_path, doc)
+
+    def test_optional_key_message_names_null(self, tmp_path):
+        with pytest.raises(ConfigError, match="augment_sigma must be float or null, got '0.1'"):
+            load_doc(tmp_path, {"augment_sigma": "0.1"})

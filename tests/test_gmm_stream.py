@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from gmmadapt import linalg
-from gmmadapt.errors import DimensionMismatch, NoInitializedMode, NonFiniteInput
+from gmmadapt.errors import DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput
 from gmmadapt.gmm_stream import GaussianMixtureStream
 
 
@@ -203,6 +203,29 @@ class TestSnapshot:
         blob = gmm.to_snapshot().replace('"format_version": 1', '"format_version": 99')
         with pytest.raises(ValueError):
             GaussianMixtureStream.from_snapshot(blob)
+
+
+    @pytest.mark.parametrize("edit,missing", [
+        (lambda doc: doc.pop("dim"), "dim"),
+        (lambda doc: doc.pop("modes"), "modes"),
+        (lambda doc: doc["modes"][1].pop("mean"), "mean"),
+        (lambda doc: doc["modes"][0].pop("weight"), "weight"),
+    ], ids=["dim", "modes", "mode_mean", "mode_weight"])
+    def test_missing_field_is_malformed(self, edit, missing):
+        doc = json.loads(GaussianMixtureStream(2, 2).to_snapshot())
+        edit(doc)
+        with pytest.raises(MalformedFile, match=f"snapshot lacks the field '{missing}'$"):
+            GaussianMixtureStream.from_snapshot(json.dumps(doc))
+
+    def test_copy_is_independent(self):
+        rng = np.random.default_rng(5)
+        gmm = GaussianMixtureStream(3, 2)
+        gmm.update(rng.standard_normal((6, 2)), rng.dirichlet(np.ones(3), size=6))
+        dup = gmm.copy()
+        assert dup.to_snapshot() == gmm.to_snapshot()
+        dup.update(rng.standard_normal((6, 2)), rng.dirichlet(np.ones(3), size=6))
+        assert dup.to_snapshot() != gmm.to_snapshot()
+        assert gmm.batch_counter == 1
 
 
 class TestPriorInitialization:

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from gmmadapt.errors import LengthMismatch
+from gmmadapt.errors import LengthMismatch, MalformedFile
 from gmmadapt.gmm_stream import GaussianMixtureStream
 from gmmadapt.metrics import (
     CSV_COLUMNS,
@@ -132,6 +133,23 @@ class TestEmitters:
         assert "counts" in first
         restored = read_jsonl(path)
         assert restored == records
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda obj: obj["counts"].pop("n_total"), "counts keys: missing ['n_total']"),
+        (lambda obj: obj["counts"].update(n_extra=3), "unexpected ['n_extra']"),
+        (lambda obj: obj.pop("tau_k"), "record keys: missing ['tau_k']"),
+        (lambda obj: obj.update(note="x"), "unexpected ['note']"),
+    ], ids=["count_missing", "count_extra", "key_missing", "key_extra"])
+    def test_read_jsonl_rejects_other_key_sets_and_names_the_line(self, tmp_path, edit,
+                                                                  fragment):
+        path = tmp_path / "metrics.jsonl"
+        write_jsonl([make_record(1), make_record(2)], path)
+        first, second = path.read_text().splitlines()
+        obj = json.loads(second)
+        edit(obj)
+        path.write_text(first + "\n" + json.dumps(obj) + "\n")
+        with pytest.raises(MalformedFile, match=r"metrics.jsonl line 2: .*" + re.escape(fragment)):
+            read_jsonl(path)
 
     def test_csv_fixed_columns_and_nulls(self, tmp_path):
         rec = make_record(1, pl_known=0, pl_corr=0)

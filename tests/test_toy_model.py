@@ -1,7 +1,10 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
-from gmmadapt.errors import DimensionMismatch, NonFiniteGradient
+from gmmadapt.errors import DimensionMismatch, MalformedFile, NonFiniteGradient
 from gmmadapt.toy_model import (
     OptimizerConfig,
     ToyModel,
@@ -250,6 +253,51 @@ class TestCheckpoint:
             np.savez(fh, **arrays)
         with pytest.raises(DimensionMismatch, match=name):
             ToyModel.load(path)
+
+
+    @pytest.mark.parametrize("damage", [
+        lambda raw, arrays: raw[:3000],
+        lambda raw, arrays: b"",
+        lambda raw, arrays: b"not a checkpoint",
+        lambda raw, arrays: _npz_bytes({k: v for k, v in arrays.items() if k != "meta"}),
+        lambda raw, arrays: _npz_bytes({k: v for k, v in arrays.items() if k != "vel_W_g"}),
+        lambda raw, arrays: _npz_bytes(dict(arrays, meta=np.array("{}"))),
+    ], ids=["truncated", "empty", "text", "no_meta", "no_array", "meta_without_keys"])
+    def test_unreadable_checkpoint_is_malformed(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        path.write_bytes(damage(path.read_bytes(), arrays))
+        with pytest.raises(MalformedFile, match="model.ckpt is not a model checkpoint"):
+            ToyModel.load(path)
+
+    def test_unknown_version_is_malformed(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        arrays["meta"] = np.array(json.dumps(dict(meta, format_version=99)))
+        path.write_bytes(_npz_bytes(arrays))
+        with pytest.raises(MalformedFile, match="unsupported checkpoint version 99"):
+            ToyModel.load(path)
+
+    def test_copy_is_independent(self):
+        model = ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13)
+        dup = model.copy()
+        assert (dup.d_in, dup.fd, dup.fd_r, dup.n_classes, dup.seed) == (3, 4, 2, 3, 13)
+        grads = {k: np.full_like(v, 0.1) for k, v in model.params.items()}
+        dup.sgd_step(grads, OptimizerConfig(0.05, 0.9))
+        for k in model.params:
+            assert not np.array_equal(dup.params[k], model.params[k])
+            assert not np.any(model.velocity[k])
+
+
+def _npz_bytes(arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
 
 
 class TestAugment:
