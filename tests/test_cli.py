@@ -353,6 +353,62 @@ class TestReplayCommand:
         assert replay_out.read_text() == (out / "summary.json").read_text()
 
 
+# sha256 of every file a small sweep writes, cell directories and sweep.csv.
+P_REJECT_SWEEP_PINS = {
+    "p_reject=40_rep0/config.resolved.json": "4b2dc2bd2071666907514c7c866d97da404679f3421f54a1f036c6dcd9d67642",
+    "p_reject=40_rep0/gmm.ckpt": "1757131169bb98871488c40df5f62bdc9c07d43f80f5d5e53ae5ecf311d4ce1d",
+    "p_reject=40_rep0/metrics.csv": "a768b9bbae8d15dbd543ab56a0f8cb084f234e4a4429276649f5f2a0b1b74367",
+    "p_reject=40_rep0/metrics.jsonl": "0170bfc72f8f617cbbd3af12384340277547a34c3a6117e2ffbc3bf45421a591",
+    "p_reject=40_rep0/model.ckpt": "b15269c8753e9f6334298e67d4d9cc4831e60d3485fe00e6ad0037b0ab694c62",
+    "p_reject=40_rep0/summary.json": "c15822288239397c9ca1b11af1ce57ee8dae3caa04c9b6e898f86ad1872286bb",
+    "p_reject=40_rep0/thresholds.csv": "684429c96b97ad1c178185646bd08ffd12632f60f255e9ea1a2b1bf2f37b7981",
+    "p_reject=40_rep1/config.resolved.json": "dc93ac39c20515a8a1a512ba2f303303deac65e2dfc7f4795e05e775ec2d5725",
+    "p_reject=40_rep1/gmm.ckpt": "649ac0e9fb954fa5324cd1d7bd89f1be27e2c51aceb9d0851e4097cffa91faed",
+    "p_reject=40_rep1/metrics.csv": "10381a6f3eb927fe5248bb06aad131031272d72dd6a0592bcab1bbfa98c80591",
+    "p_reject=40_rep1/metrics.jsonl": "0d54e1347c8873f114f6c36185fb1e98ccaed7e9c0e89edfdf24ede53bb1d9cf",
+    "p_reject=40_rep1/model.ckpt": "5d0ff154dab28a309e00bf376104a6a7625af201b60153cfad362a28661ebb33",
+    "p_reject=40_rep1/summary.json": "8c3fdac3d783da2e4b6af9149bc1622b0cc523fe6d08fc0efca739a223ed2092",
+    "p_reject=40_rep1/thresholds.csv": "129677ef02cdd4512ef32c11209b1f3da05eec725f73ae8541730cdd59d93a3a",
+    "p_reject=60.5_rep0/config.resolved.json": "1a79f5a2903efc585916d099c0eeb16f7b04a18c52688953fa84c02a41a57ea0",
+    "p_reject=60.5_rep0/gmm.ckpt": "d6bc3594a884e74297c6a8c6bacd26e09aa33e3322bd98baed618d41a49c9bc6",
+    "p_reject=60.5_rep0/metrics.csv": "79ec21120e46efd2c07d2e1684b631a9ecb5583614fc0de9d036b7e46754e381",
+    "p_reject=60.5_rep0/metrics.jsonl": "2619040cb27f567c2c4cdde5cadac43fbcd928d58a3c190b8bcd69bc7f9427c8",
+    "p_reject=60.5_rep0/model.ckpt": "05797899702fb41bdd639091e01e4b45875aef69f8e5ed9e7d1474cc85a05a55",
+    "p_reject=60.5_rep0/summary.json": "02b9f4445fe5a4d9a3891df475f4e53b7a12985bea788b619d7d13aba1431277",
+    "p_reject=60.5_rep0/thresholds.csv": "6dced73c19c254921799ccb26a4a36456c2fa01c59d291a07d69038fbecf0e78",
+    "p_reject=60.5_rep1/config.resolved.json": "0cd01615d0040404214a193290d0b5dbefcaa7bab4f20c437731a85c3095ff34",
+    "p_reject=60.5_rep1/gmm.ckpt": "4f284f43d7464e23f2c4b764bbea61b30eb0692e4b5fb153ee12abddcfb3f850",
+    "p_reject=60.5_rep1/metrics.csv": "0b27ec7e93c25b96ca27ebd6bac6a70c82595c11a14916bb76827db66238d5f3",
+    "p_reject=60.5_rep1/metrics.jsonl": "e06b6b6ad5527442d153893650b740364d0030fa1b4766b7ad9c0fcf147e5179",
+    "p_reject=60.5_rep1/model.ckpt": "b72d97b2b32f2e968714464de1cd70b2ac28b1dc6b4b44a79a9f07c3fe6304ed",
+    "p_reject=60.5_rep1/summary.json": "2789eef35276cc02e3dadc1b476a0fc841f32d3fbe8bb00cd6c5492d13dfb9c8",
+    "p_reject=60.5_rep1/thresholds.csv": "2a0c1d737d116656f66b00d9539557556db6a46f03335a3464bf1990f02aed61",
+    "sweep.csv": "f9f27d6cd0f199a80c80726adc7cf38c1870c86ced5b2f32fd22803cd2ef7a34",
+}
+FD_R_SWEEP_PINS = {
+    "fd_r=6_rep0/config.resolved.json": "df73febab32c6c521d4cc5f3da7e02ab2e1845ef765679ee20a05522987a6f11",
+    "fd_r=6_rep0/gmm.ckpt": "852c562a102d5b3b204dde51c3400ff63afa25c4f0f80d5fe7984b69af3817a8",
+    "fd_r=6_rep0/metrics.csv": "e5dc4020ad00e41b88b642f355876429407c8120eae7a0906587191263abc42b",
+    "fd_r=6_rep0/metrics.jsonl": "7845725bcbf276bcf258c5c58e3744ac82361b6bbe748500444796bbb3a2e7ba",
+    "fd_r=6_rep0/model.ckpt": "6c16478ee1dc826a1a7da7943355cd7a0e923139df811ade1a2d4b24f5986bbe",
+    "fd_r=6_rep0/summary.json": "628ad15128de1a73313e81709ed99a65e90df970a31beb65f00c80cf000f02f9",
+    "fd_r=6_rep0/thresholds.csv": "15465d3f6a06f3ea1234ead5b6621f6a97debb4ecd97c07e1d029d676700973c",
+    "fd_r=8_rep0/config.resolved.json": "333c401b506f4462ffc45be28fd0c20956171eeefd84c7de9d17333923b3e44b",
+    "fd_r=8_rep0/gmm.ckpt": "68b1b836cd92cab80b6ba6b20491b34a35e6cfe8adc2b4ba33ddc5af323d50c0",
+    "fd_r=8_rep0/metrics.csv": "400cb449ac63fd8d7107a1ed4ca0574f066f2ccc579bcdc95d437981e29e1b5a",
+    "fd_r=8_rep0/metrics.jsonl": "ec3f20e7ab7901f18a53fe98ecd1af49ee605fd6aec102951a473d592fd2526a",
+    "fd_r=8_rep0/model.ckpt": "f31e59ab156136b40b9b1edd5616f40522602994d5c9f69834ca1eb42ce297e6",
+    "fd_r=8_rep0/summary.json": "2779569f804444c0781c0df15b26ad88ef50b0cd4be6b2726885eb982a8b3b70",
+    "fd_r=8_rep0/thresholds.csv": "e093b8f78c856ca863bfc39e4c130c4733e54443ccdc58bf3a485f2643d4ded7",
+    "sweep.csv": "b8e928a37fc4fef5db33e804cbb151d0bb418a0ad90cde9e6696777a37d51e02",
+}
+
+
+def _tree_digests(root):
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 class TestSweepCommand:
     def test_lambda_sweep_table(self, tmp_path, small_config, capsys):
         out = tmp_path / "sweep"
@@ -374,6 +430,13 @@ class TestSweepCommand:
             "p_reject,40,2,0.6766770299636757,0.08419253525371578\n"
             "p_reject,60.5,2,0.671036961200142,0.11843672301038422\n"
         )
+        assert _tree_digests(out) == P_REJECT_SWEEP_PINS
+
+    def test_fd_r_sweep_bytes_pinned(self, tmp_path, small_config):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--parameter", "fd_r", "--values", "6,8", "--n-batches", "6"]) == 0
+        assert _tree_digests(out) == FD_R_SWEEP_PINS
 
     def test_batch_size_sweep_with_compensation(self, tmp_path, small_config):
         out = tmp_path / "sweep"
