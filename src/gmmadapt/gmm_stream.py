@@ -97,8 +97,14 @@ class GaussianMixtureStream:
             raise ValueError("weight rows must be nonnegative and sum to 1")
 
         # Reduce samples in a canonical order so that shuffling a batch
-        # yields bit-identical parameters (summation order is fixed).
-        order = np.lexsort(np.vstack([feats.T, weights.T]))
+        # yields bit-identical parameters (summation order is fixed): the
+        # lexicographic order over the weight columns, then the feature
+        # columns, each taken last column first. When the primary key,
+        # the last weight column, has no ties, its sort is that order.
+        order = np.argsort(weights[:, -1], kind="stable")
+        primary = weights[order, -1]
+        if np.any(primary[1:] == primary[:-1]):
+            order = np.lexsort(np.vstack([feats.T, weights.T]))
         feats = feats[order]
         weights = weights[order]
 

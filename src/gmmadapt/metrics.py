@@ -123,9 +123,12 @@ class RunRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RunRecord":
-        """Inverse of to_json_obj; MalformedFile unless the keys are exactly its keys."""
+        """Inverse of to_json_obj; MalformedFile unless the keys are exactly
+        its keys and each value has its field's type."""
         _require_keys(obj, CSV_COLUMNS + ("counts",), "record")
         _require_keys(obj["counts"], [f.name for f in fields(BatchCounts)], "counts")
+        _require_types(obj, cls, "record")
+        _require_types(obj["counts"], BatchCounts, "counts")
         return cls(**{k: obj[k] for k in CSV_COLUMNS}, counts=BatchCounts(**obj["counts"]))
 
 
@@ -134,6 +137,18 @@ def _require_keys(obj, keys, what: str) -> None:
     if got != want:
         raise MalformedFile(f"{what} keys: missing {sorted(want - got)}, "
                             f"unexpected {sorted(got - want)}")
+
+
+# JSON value types a field accepts, by its annotation: an int field a
+# non-bool int, a float field any number, an optional field null as well.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
+               "BatchCounts": (dict,)}
+
+
+def _require_types(obj: dict, cls, what: str) -> None:
+    for f in fields(cls):
+        if type(obj[f.name]) not in _JSON_TYPES[f.type]:
+            raise MalformedFile(f"{what} {f.name} must be {f.type}, got {obj[f.name]!r}")
 
 
 def score_batch(

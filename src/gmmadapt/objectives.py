@@ -20,12 +20,32 @@ Label coding matches ood_gate: 0..C-1 known, C unknown, -1 discarded.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DimensionMismatch
 from .ood_gate import DISCARDED
 
 PROB_FLOOR = 1e-12
+
+
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    """scipy.special.logsumexp(a, axis) of a real float array, bit for bit.
+
+    The same arithmetic without scipy's array-API dispatch: the m maximal
+    terms are split out of the sum s of the shifted exponentials and added
+    back as log1p(s / m) + log(m) + max. A non-finite result, such as a
+    slice that is entirely -inf, falls back to log(sum(exp(a))).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)
 
 
 def _normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +109,7 @@ def contrastive_loss(
     denom_mask = participant[:, None] & participant[None, :]
     np.fill_diagonal(denom_mask, False)
     masked = np.where(denom_mask, sims, -np.inf)
-    log_denom = logsumexp(masked, axis=0)  # per anchor column i
+    log_denom = _logsumexp(masked, axis=0)  # per anchor column i
     pos_per_anchor = pos.sum(axis=0).astype(np.float64)  # n_i
     active = pos_per_anchor > 0
     term1 = float(-(sims * pos).sum() + (pos_per_anchor[active] * log_denom[active]).sum())
@@ -108,7 +128,7 @@ def contrastive_loss(
     if classes.size > 0:
         proto_sims = (q[classes] @ z.T) / tau  # (n_present, 2n)
         masked_p = np.where(participant[None, :], proto_sims, -np.inf)
-        log_denom_p = logsumexp(masked_p, axis=1)
+        log_denom_p = _logsumexp(masked_p, axis=1)
         counts = present[classes]
         numerator = proto_sims[np.searchsorted(classes, labels[known]), np.flatnonzero(known)]
         term2 = float(-numerator.sum() + (counts * log_denom_p).sum())

@@ -7,9 +7,12 @@ pseudo-labeling -> prediction -> scoring -> augmented view -> losses ->
 backprop -> SGD step. Each batch is seen exactly once; the prediction for
 a batch always precedes the parameter update it triggers.
 
-One run is strictly sequential. Independent runs (sweep cells) share no
-state and could execute in parallel; the sweep runner here keeps them
-sequential for simplicity.
+One run is strictly sequential, and so is a sweep: its cells run one
+after another in value-major order. Cells whose configs agree on every
+key that build_task and train_source_model read (setup_key) share one
+task and one trained source model; each cell adapts its own copy of that
+model over its own pass of the stream, so a shared set-up writes the same
+bytes as a fresh one.
 """
 from __future__ import annotations
 
@@ -22,12 +25,12 @@ import numpy as np
 
 from . import metrics
 from .config import RunConfig, config_keys, field_name
-from .errors import ConfigError, GmmAdaptError, NumericalFailure
+from .errors import ConfigError, GmmAdaptError, MalformedFile, NumericalFailure
 from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, memory_report, score_batch, summarize
 from .objectives import contrastive_loss, kld_loss
 from .ood_gate import ThresholdState, normalized_entropy_rows
-from .simulator import SourceSet, TargetStream, make_task
+from .simulator import SHIFT_KINDS, SourceSet, TargetStream, make_task
 from .toy_model import OptimizerConfig, ToyModel, accuracy, augment, train_source
 
 ENV_OUTPUT_ROOT = "GMMADAPT_RUNS"
@@ -42,6 +45,18 @@ def derive_seeds(seed: int) -> dict[str, int]:
         "source_train": int(state[2]),
         "augment": int(state[3]),
     }
+
+
+# The config keys build_task and train_source_model read. Runs that agree
+# on all of them build the same task and train the same source model.
+SETUP_KEYS = ("seed", "shift", "domain", "n_source_train", "n_source_holdout", "n_batches",
+              "n_b", "fd", "fd_r", "source_epochs", "source_lr", "momentum")
+
+
+def setup_key(cfg: RunConfig) -> str:
+    """Identity of the set-up (task and trained source model) a config asks for."""
+    doc = cfg.to_dict()
+    return json.dumps([doc[key] for key in SETUP_KEYS])
 
 
 def build_task(cfg: RunConfig) -> tuple[SourceSet, TargetStream]:
@@ -72,6 +87,30 @@ def train_source_model(cfg: RunConfig, source: SourceSet) -> tuple[ToyModel, flo
     )
     holdout_acc = accuracy(model, source.x_holdout, source.y_holdout)
     return model, holdout_acc, history
+
+
+@dataclass
+class Setup:
+    """A target stream and the source model an adaptation run starts from.
+
+    Runs never mutate it: each takes its own model copy and stream pass.
+    """
+
+    stream: TargetStream
+    model: ToyModel
+    holdout_acc: float
+
+
+def prepare_setup(cfg: RunConfig, model_path: str | None = None) -> Setup:
+    """Build the task and train the source model, or load it from model_path."""
+    source, stream = build_task(cfg)
+    if model_path is not None:
+        model = ToyModel.load(model_path)
+        _check_model_matches(model, cfg, model_path)
+        holdout_acc = accuracy(model, source.x_holdout, source.y_holdout)
+    else:
+        model, holdout_acc, _ = train_source_model(cfg, source)
+    return Setup(stream, model, holdout_acc)
 
 
 @dataclass
@@ -152,27 +191,25 @@ def resolve_output_dir(explicit: str | None, default_name: str) -> Path:
     return root / default_name
 
 
-def run_adapt(cfg: RunConfig, out_dir: Path, model_path: str | None = None) -> dict:
+def run_adapt(cfg: RunConfig, out_dir: Path, model_path: str | None = None, *,
+              setup: Setup | None = None) -> dict:
     """Full adaptation run: artifacts land in out_dir, summary returned.
 
-    Layout: config.resolved.json, metrics.jsonl, metrics.csv,
-    thresholds.csv, model.ckpt, gmm.ckpt, summary.json.
+    setup, when given, must come from prepare_setup for a config with the
+    same setup_key; it is left unchanged. Layout: config.resolved.json,
+    metrics.jsonl, metrics.csv, thresholds.csv, model.ckpt, gmm.ckpt,
+    summary.json.
     """
-    source, stream = build_task(cfg)
-    if model_path is not None:
-        model = ToyModel.load(model_path)
-        _check_model_matches(model, cfg, model_path)
-        source_holdout_acc = accuracy(model, source.x_holdout, source.y_holdout)
-    else:
-        model, source_holdout_acc, _ = train_source_model(cfg, source)
+    if setup is None:
+        setup = prepare_setup(cfg, model_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    result = adapt_stream(cfg, model, stream)
+    result = adapt_stream(cfg, setup.model.copy(), setup.stream.restarted())
     summary = result.summary(cfg)
 
     resolved = cfg.resolved_dict()
-    resolved["derived"]["source_holdout_accuracy"] = source_holdout_acc
+    resolved["derived"]["source_holdout_accuracy"] = setup.holdout_acc
     resolved["derived"]["tau_k"] = result.thresholds.tau_k
     resolved["derived"]["tau_u"] = result.thresholds.tau_u
     resolved["derived"]["tau"] = result.thresholds.tau
@@ -209,9 +246,28 @@ def replay(run_dir: Path) -> dict:
     reproduce the stored summary.json exactly.
     """
     run_dir = Path(run_dir)
-    resolved = json.loads((run_dir / "config.resolved.json").read_text())
+    path = run_dir / "config.resolved.json"
+    try:
+        resolved = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise MalformedFile(f"{path}: {err}") from err
+    kind = _stored_value(resolved, ("shift", "kind"), lambda v: v in SHIFT_KINDS, path)
+    n_init = _stored_value(resolved, ("n_init",), lambda v: type(v) is int and v >= 1, path)
     records = metrics.read_jsonl(run_dir / "metrics.jsonl")
-    return summarize(records, resolved["shift"]["kind"], resolved["n_init"])
+    return summarize(records, kind, n_init)
+
+
+def _stored_value(doc, path: tuple[str, ...], valid, file: Path):
+    """The value at path in a stored JSON document; MalformedFile naming
+    the key when it is missing or not valid."""
+    value = doc
+    for key in path:
+        if not isinstance(value, dict) or key not in value:
+            raise MalformedFile(f"{file}: {'.'.join(path)} is missing")
+        value = value[key]
+    if not valid(value):
+        raise MalformedFile(f"{file}: {'.'.join(path)} has the wrong value {value!r}")
+    return value
 
 
 def run_sweep(
@@ -229,7 +285,9 @@ def run_sweep(
     across values. The parameter is named by its config key or its field
     name, in any case (lambda, lam, FD_r, N_b). When sweeping the batch
     size, the compensation mode rescales n_init to hold n_init * n_b
-    (samples used for initialization) constant.
+    (samples used for initialization) constant. Cells with one setup_key
+    share one prepare_setup: sweeping a key outside SETUP_KEYS trains one
+    source model per repeat, not one per cell.
     """
     sweepable = {}
     for path, typ, _ in config_keys():
@@ -246,20 +304,31 @@ def run_sweep(
     if compensate_n_init and name != "n_b":
         raise GmmAdaptError("n_init compensation only applies to batch-size sweeps")
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    columns = ("parameter", "value", "n_runs", "mean_primary_metric", "std_primary_metric")
-    rows = []
+    # Every cell is validated before the first one runs.
+    cells = []
     for value in values:
-        results = []
         for rep in range(repeats):
             cfg = replace(base, seed=base.seed + rep, **{name: value})
             if compensate_n_init:
                 cfg.n_init = max(1, int(np.floor(base.n_init * base.n_b / value + 0.5)))
-            cfg.validate()
-            run_name = f"{name}={value}_rep{rep}"
-            summary = run_adapt(cfg, out_dir / run_name)
-            results.append(summary["full_run"]["primary_metric"])
+            cells.append((f"{name}={value}_rep{rep}", cfg.validate(), setup_key(cfg)))
+    last_cell = {key: i for i, (_, _, key) in enumerate(cells)}
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    setups: dict[str, Setup] = {}
+    primary = []
+    for i, (run_name, cfg, key) in enumerate(cells):
+        if key not in setups:
+            setups[key] = prepare_setup(cfg)
+        setup = setups.pop(key) if last_cell[key] == i else setups[key]
+        summary = run_adapt(cfg, out_dir / run_name, setup=setup)
+        primary.append(summary["full_run"]["primary_metric"])
+
+    columns = ("parameter", "value", "n_runs", "mean_primary_metric", "std_primary_metric")
+    rows = []
+    for k, value in enumerate(values):
+        results = primary[k * repeats:(k + 1) * repeats]
         stats = (name, value, repeats, float(np.mean(results)), float(np.std(results)))
         rows.append(dict(zip(columns, stats)))
     metrics.write_csv(rows, out_dir / "sweep.csv", columns)

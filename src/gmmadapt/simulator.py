@@ -138,6 +138,10 @@ class TargetStream:
         self._labels = true_labels[:keep]
         self._cursor = 0
 
+    def restarted(self) -> "TargetStream":
+        """A new stream over the same samples, from the first batch."""
+        return TargetStream(self._inputs, self._labels, self.batch_size)
+
     def next_batch(self) -> StreamBatch | None:
         if self._cursor >= self.n_batches:
             return None

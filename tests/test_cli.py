@@ -335,13 +335,48 @@ class TestMalformedRunFiles:
         (lambda obj: obj["counts"].pop("n_total"), "missing ['n_total']"),
         (lambda obj: obj["counts"].update(n_extra=1), "unexpected ['n_extra']"),
         (lambda obj: obj.pop("tau_k"), "missing ['tau_k']"),
-    ], ids=["count_missing", "count_extra", "tau_k_missing"])
+        (lambda obj: obj["counts"].update(n_total="16"), "counts n_total must be int, got '16'"),
+        (lambda obj: obj["counts"].update(n_known=True), "counts n_known must be int, got True"),
+        (lambda obj: obj["counts"].update(n_adapted=3.0), "n_adapted must be int, got 3.0"),
+        (lambda obj: obj.update(h_score="0.5"), "h_score must be float | None, got '0.5'"),
+        (lambda obj: obj.update(tau_k=None), "record tau_k must be float, got None"),
+        (lambda obj: obj.update(batch=[5]), "record batch must be int, got [5]"),
+    ], ids=["count_missing", "count_extra", "tau_k_missing", "count_str", "count_bool",
+            "count_float", "rate_str", "tau_k_null", "batch_list"])
     def test_replay_of_edited_record(self, tmp_path, small_run, capsys, edit, fragment):
         run_dir = tmp_path / "run"
         shutil.copytree(small_run / "run", run_dir)
         _edit_record(run_dir, 5, edit)
         self._assert_file_error(capsys, ["replay", str(run_dir)], "metrics.jsonl line 5:",
                                 fragment)
+
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda doc: doc.pop("n_init"), "n_init is missing"),
+        (lambda doc: doc.update(n_init="30"), "n_init has the wrong value '30'"),
+        (lambda doc: doc.update(n_init=True), "n_init has the wrong value True"),
+        (lambda doc: doc["shift"].pop("kind"), "shift.kind is missing"),
+        (lambda doc: doc["shift"].update(kind="opda"), "shift.kind has the wrong value 'opda'"),
+        (lambda doc: doc.update(shift=None), "shift.kind is missing"),
+    ], ids=["n_init_missing", "n_init_str", "n_init_bool", "kind_missing", "kind_unknown",
+            "shift_null"])
+    def test_replay_of_edited_config(self, tmp_path, small_run, capsys, edit, fragment):
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        path = run_dir / "config.resolved.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        self._assert_file_error(capsys, ["replay", str(run_dir)], "config.resolved.json:",
+                                fragment)
+
+
+    def test_replay_of_truncated_config(self, tmp_path, small_run, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        path = run_dir / "config.resolved.json"
+        path.write_text(path.read_text()[:200])
+        self._assert_file_error(capsys, ["replay", str(run_dir)], "config.resolved.json:")
 
 
 class TestReplayCommand:
@@ -473,6 +508,14 @@ class TestSweepCommand:
                      "--parameter", "fd_r", "--values", "8.5"]) == 2
         assert capsys.readouterr().err == "config error: fd_r must be int, got 8.5\n"
 
+    def test_bad_value_rejected_before_any_cell_runs(self, tmp_path, small_config, capsys):
+        out = tmp_path / "sweep"
+        out.mkdir()
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--parameter", "fd_r", "--values", "8,8.5"]) == 2
+        assert capsys.readouterr().err == "config error: fd_r must be int, got 8.5\n"
+        assert list(out.iterdir()) == []
+
     def test_single_value_single_repeat_degenerates_to_adapt(self, tmp_path, small_config):
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(small_config), "--out", str(out),
@@ -526,6 +569,16 @@ class TestInstalledEntryPoint:
             capture_output=True, text=True, timeout=60, env=package_env,
         )
         _assert_memory_12_row(proc)
+
+    def test_import_leaves_scipy_special_unloaded(self, package_env):
+        """The package's imports stay off scipy.special (about 3.6 MB of RSS)."""
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, gmmadapt, gmmadapt.cli; print('scipy.special' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=package_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.skipif(shutil.which("gmmadapt") is None,
                         reason="gmmadapt console script not installed")

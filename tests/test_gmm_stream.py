@@ -385,6 +385,37 @@ class TestBlockedProperties:
         np.testing.assert_array_equal(a.cov_packed, b.cov_packed)
         np.testing.assert_array_equal(a.mass, b.mass)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_classes=st.sampled_from([1, 2, 3, 65]),
+        dim=st.integers(1, 4),
+        n=st.integers(2, 16),
+        n_levels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ties_in_last_weight_column_match_reference(self, n_classes, dim, n, n_levels,
+                                                        seed):
+        """The last weight column, lexsort's primary key, takes at most n_levels
+        values, so rows tie on it; shuffled or not, the update equals the
+        reference's full lexsort order."""
+        rng = np.random.default_rng(seed)
+        feats, w = random_batch(rng, n, n_classes, dim, [])
+        if n_classes > 1:
+            last = rng.choice(rng.uniform(0.0, 0.9, n_levels), size=n)
+            w[:, :-1] *= ((1.0 - last) / w[:, :-1].sum(axis=1))[:, None]
+            w[:, -1] = last
+        gmm = GaussianMixtureStream(n_classes, dim).update(*random_batch(rng, 8, n_classes,
+                                                                         dim, []))
+        state = (gmm.means.copy(), gmm.cov_packed.copy(), gmm.mass.copy())
+        perm = rng.permutation(n)
+        shuffled = gmm.copy().update(feats[perm], w[perm])
+        gmm.update(feats, w)
+        state = reference_update(state, feats, w)
+        for got in (gmm, shuffled):
+            np.testing.assert_array_equal(got.means, state[0])
+            np.testing.assert_array_equal(got.cov_packed, state[1])
+            np.testing.assert_array_equal(got.mass, state[2])
+
     @settings(max_examples=20, deadline=None)
     @given(
         n_classes=st.sampled_from([1, 2, 65]),

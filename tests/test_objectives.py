@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
-from gmmadapt.objectives import combined_loss, contrastive_loss, kld_loss
+from gmmadapt.objectives import _logsumexp, combined_loss, contrastive_loss, kld_loss
 from gmmadapt.ood_gate import DISCARDED
 from gmmadapt.toy_model import softmax
 
@@ -128,6 +132,32 @@ class TestContrastiveLoss:
         labels[4] = DISCARDED
         _, grad = contrastive_loss(feats, labels, protos, 3, 0.1)
         assert not np.any(grad[4])
+
+
+# Entries with -inf, repeated values (ties for the maximum) and magnitudes
+# up to 1e3, where exp over- and underflows without the shift.
+LSE_ENTRIES = st.one_of(st.just(-np.inf), st.sampled_from([0.0, -1.5, 2.0, 700.0, -700.0]),
+                        st.floats(-1e3, 1e3))
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 9)),
+                 elements=LSE_ENTRIES),
+        dead_col=st.integers(0, 9),
+        dead_row=st.integers(0, 9),
+    )
+    def test_equals_scipy_bit_for_bit(self, a, dead_col, dead_row):
+        """Both axes, with a column and a row made entirely -inf when they exist."""
+        if dead_col < a.shape[1]:
+            a[:, dead_col] = -np.inf
+        if dead_row < a.shape[0]:
+            a[dead_row] = -np.inf
+        for axis in (0, 1):
+            ours, ref = _logsumexp(a, axis=axis), logsumexp(a, axis=axis)
+            assert ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes(), (axis, ours, ref)
 
 
 class TestKldLoss:
