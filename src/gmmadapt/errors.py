@@ -14,7 +14,8 @@ class NonFiniteInput(GmmAdaptError, ValueError):
 
 
 class NotPositiveDefinite(GmmAdaptError, ValueError):
-    """Cholesky factorization failed even after jitter escalation."""
+    """A covariance factor is unusable: Cholesky factorization failed even
+    after jitter escalation, or a factor has a zero pivot."""
 
 
 class NoInitializedMode(GmmAdaptError, RuntimeError):

@@ -20,10 +20,13 @@ processed: ``means`` (C, d), ``cov_packed`` (C, P) holding each packed
 covariance triangle (P = d(d+1)/2) and ``mass`` (C,). A mode with mass 0
 has never received mass; its mean and covariance are zero placeholders
 and it is skipped everywhere. Work runs over blocks of at most BLOCK
-classes: one stacked scatter per block in ``update``, one stacked
-Cholesky per block in the likelihoods. Cholesky factors live only inside
-one likelihood call and are never stored, so the state is exactly what
-``memory_footprint`` counts.
+classes: in ``update`` one stacked scatter per block, folded into the
+block's covariance rows in place; in the likelihoods one stacked Cholesky
+per block and one in-place BLAS triangular solve per mode. Every mode's
+floating-point operations are the same whatever the block size, so BLOCK
+sets speed, never results. Cholesky factors and every other work array
+live only inside one call and are never stored, so the state is exactly
+what ``memory_footprint`` counts.
 """
 from __future__ import annotations
 
@@ -37,15 +40,25 @@ from .errors import DimensionMismatch, MalformedFile, NoInitializedMode, NonFini
 
 SNAPSHOT_VERSION = 1
 
-# Classes per stacked scatter or Cholesky. Bounds the transient dense
-# (BLOCK, d, d) stacks, several of which are live at once: at d = 64 each
-# is 2 MB, where one stack of all 345 classes would be 11 MB.
-BLOCK = 64
+# Classes per stacked scatter or Cholesky, chosen by measurement so that
+# a block's work arrays stay in a core's L2 cache. Each (BLOCK, n, d) or
+# (BLOCK, d, d) stack takes 32 KB per class at d = n = 64: 0.5 MB at 16
+# classes, and the three or four live at once fit in a 2 MB L2, where at
+# 64 classes each stack alone is 2 MB. Results do not depend on BLOCK.
+BLOCK = 16
 
 
 def _blocks(classes: np.ndarray):
+    """(rows, ids) per run of at most BLOCK of the given classes.
+
+    ids holds the class indices; rows indexes the state arrays with them,
+    as a slice when they are consecutive (the usual case, every class
+    having mass), so that the block's rows are views and not copies.
+    """
     for start in range(0, classes.size, BLOCK):
-        yield classes[start:start + BLOCK]
+        ids = classes[start:start + BLOCK]
+        consecutive = ids[-1] - ids[0] == ids.size - 1
+        yield (slice(ids[0], ids[-1] + 1) if consecutive else ids), ids
 
 
 class GaussianMixtureStream:
@@ -60,6 +73,8 @@ class GaussianMixtureStream:
     def __init__(self, n_classes: int, dim: int, jitter: float = 1e-6):
         if n_classes < 1:
             raise ValueError("need at least one class")
+        if dim < 1:
+            raise ValueError("need at least one feature dimension")
         if jitter < 0:
             raise ValueError("jitter must be nonnegative")
         self.n_classes = n_classes
@@ -110,14 +125,19 @@ class GaussianMixtureStream:
 
         batch_mass = weights.sum(axis=0)
         weighted_sums = weights.T @ feats
-        for block in _blocks(np.flatnonzero(batch_mass > 0.0)):
-            s_prev = self.mass[block, None]
-            s_new = s_prev + batch_mass[block, None]
-            new_means = (s_prev * self.means[block] + weighted_sums[block]) / s_new
-            scatter = linalg.weighted_scatter(feats, weights[:, block], new_means)
-            self.cov_packed[block] = (s_prev * self.cov_packed[block] + scatter) / s_new
-            self.means[block] = new_means
-            self.mass[block] = s_new[:, 0]
+        for rows, _ in _blocks(np.flatnonzero(batch_mass > 0.0)):
+            s_prev = self.mass[rows, None]
+            s_new = s_prev + batch_mass[rows, None]
+            new_means = (s_prev * self.means[rows] + weighted_sums[rows]) / s_new
+            # (s_prev * cov + scatter) / s_new, folded in place: on the
+            # state itself when rows is a slice
+            cov = self.cov_packed[rows]
+            cov *= s_prev
+            cov += linalg.weighted_scatter(feats, weights[:, rows], new_means)
+            cov /= s_new
+            self.cov_packed[rows] = cov
+            self.means[rows] = new_means
+            self.mass[rows] = s_new[:, 0]
         self.batch_counter += 1
         return self
 
@@ -137,9 +157,11 @@ class GaussianMixtureStream:
         if live.size == 0:
             raise NoInitializedMode("no mode has received mass yet")
         out = np.full((feats.shape[0], self.n_classes), -np.inf)
-        for block in _blocks(live):
-            chols = linalg.cholesky(linalg.unpack(self.cov_packed[block], self.dim), self.jitter)
-            out[:, block] = linalg.log_gauss_density_batch(feats, self.means[block], chols)
+        for rows, ids in _blocks(live):
+            # unpacking reads scattered entries, faster from a fresh, cached
+            # copy of the block's rows than from the state itself
+            chols = linalg.cholesky(self.cov_packed[ids], self.jitter, ids=ids)
+            out[:, rows] = linalg.log_gauss_density_batch(feats, self.means[rows], chols, ids=ids)
         return out
 
     def likelihood_vectors(self, feats: np.ndarray) -> np.ndarray:
@@ -186,30 +208,50 @@ class GaussianMixtureStream:
     def from_snapshot(cls, blob: str) -> "GaussianMixtureStream":
         """Load a snapshot, rejecting any mode that does not fit the header.
 
-        Raises MalformedFile for another version or a missing field,
+        Raises MalformedFile for text that is not a JSON object, another
+        version, a missing field, a header value of the wrong type or
+        range, or a mode that is not an object of number lists;
         DimensionMismatch for a mode count other than n_classes or a
-        mean/cov_packed of the wrong length, and NonFiniteInput for a
+        mean/cov_packed of the wrong length; and NonFiniteInput for a
         non-finite value or a negative weight.
         """
-        doc = json.loads(blob)
+        try:
+            doc = json.loads(blob)
+        except json.JSONDecodeError as err:
+            raise MalformedFile(f"snapshot is not JSON: {err}") from err
+        if type(doc) is not dict:
+            raise MalformedFile(f"snapshot must be a JSON object, got {type(doc).__name__}")
         if doc.get("format_version") != SNAPSHOT_VERSION:
             raise MalformedFile(f"unsupported snapshot version {doc.get('format_version')!r}")
         try:
-            state = cls(doc["n_classes"], doc["dim"], doc["jitter"])
-            state.batch_counter = doc["batch_counter"]
-            modes = doc["modes"]
-            if len(modes) != state.n_classes:
-                raise DimensionMismatch(f"{len(modes)} modes for {state.n_classes} classes")
-            for key, size in (("mean", state.dim), ("cov_packed", state.cov_packed.shape[1])):
+            for key, types, least in _HEADER_FIELDS:
+                value = doc[key]
+                if type(value) not in types or not least <= value < np.inf:
+                    raise MalformedFile(
+                        f"snapshot {key} must be a finite number >= {least} "
+                        f"({' or '.join(t.__name__ for t in types)}), got {value!r}"
+                    )
+            n_classes, dim, modes = doc["n_classes"], doc["dim"], doc["modes"]
+            if type(modes) is not list or any(type(entry) is not dict for entry in modes):
+                raise MalformedFile("snapshot modes must be a list of objects")
+            if len(modes) != n_classes:
+                raise DimensionMismatch(f"{len(modes)} modes for {n_classes} classes")
+            for key, size in (("mean", dim), ("cov_packed", linalg.packed_size(dim))):
                 for c, entry in enumerate(modes):
+                    if type(entry[key]) is not list:
+                        raise MalformedFile(f"mode {c}: {key} must be a list of numbers")
                     if len(entry[key]) != size:
                         raise DimensionMismatch(
                             f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
                         )
-            state.mass = np.array([entry["weight"] for entry in modes], dtype=np.float64)
-            state.means = np.array([entry["mean"] for entry in modes], dtype=np.float64)
-            state.cov_packed = np.array([entry["cov_packed"] for entry in modes],
-                                        dtype=np.float64)
+            state = cls(n_classes, dim, doc["jitter"])
+            state.batch_counter = doc["batch_counter"]
+            state.mass = _number_array([entry["weight"] for entry in modes], "weight",
+                                       state.mass.shape)
+            state.means = _number_array([entry["mean"] for entry in modes], "mean",
+                                        state.means.shape)
+            state.cov_packed = _number_array([entry["cov_packed"] for entry in modes],
+                                             "cov_packed", state.cov_packed.shape)
         except KeyError as err:
             raise MalformedFile(f"snapshot lacks the field {err}") from err
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
@@ -217,3 +259,25 @@ class GaussianMixtureStream:
         if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):
             raise NonFiniteInput("mode means and covariances must be finite")
         return state
+
+
+# Snapshot header fields: (key, accepted JSON value types, least value).
+# bool is not accepted where int is: type(True) is bool, not int.
+_HEADER_FIELDS = (
+    ("n_classes", (int,), 1),
+    ("dim", (int,), 1),
+    ("jitter", (int, float), 0),
+    ("batch_counter", (int,), 0),
+)
+
+
+def _number_array(rows: list, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    """float64 array of one snapshot field over all modes; MalformedFile
+    unless it is made of JSON numbers in the given shape."""
+    try:
+        values = np.array(rows)
+    except ValueError as err:
+        raise MalformedFile(f"mode {key} values are nested unevenly") from err
+    if values.dtype.kind not in "if" or values.shape != shape:
+        raise MalformedFile(f"every mode's {key} must be made of numbers only")
+    return values.astype(np.float64, copy=False)

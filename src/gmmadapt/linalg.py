@@ -5,14 +5,17 @@ Symmetric matrices are stored as rows of their packed lower triangle
 stored-value count matches the memory model exactly. Every function works
 on a stack of matrices at once. Gaussian log-densities go through Cholesky
 factors and triangular solves; the inverse covariance is never
-materialized.
+materialized. Each factor's solve is one in-place BLAS ``dtrsm`` call,
+the routine LAPACK's ``dtrtrs`` calls after its zero-pivot check; that
+check is made once for the whole stack, on the factor diagonals, so the
+results are those of ``dtrtrs`` bit for bit.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dtrsm
 
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 
@@ -53,13 +56,30 @@ def pack(dense: np.ndarray) -> np.ndarray:
 
 
 def unpack(packed: np.ndarray, dim: int) -> np.ndarray:
-    """Symmetric (B, dim, dim) stack from packed rows (B, P)."""
+    """Symmetric (B, dim, dim) stack from packed rows (B, P).
+
+    Each matrix is stored column-major, which a symmetric matrix allows
+    (it equals its transpose): ``np.linalg.cholesky`` copies its input
+    into LAPACK's buffer one column at a time, and so reads contiguous
+    memory.
+    """
     packed = np.asarray(packed, dtype=np.float64)
     if packed.ndim != 2 or packed.shape[1] != packed_size(dim):
         raise DimensionMismatch(
             f"packed rows for dim {dim} need {packed_size(dim)} entries, got shape {packed.shape}"
         )
-    return np.take(packed, _tril_maps(dim)[1], axis=1).reshape(packed.shape[0], dim, dim)
+    dense = np.take(packed, _tril_maps(dim)[1], axis=1).reshape(packed.shape[0], dim, dim)
+    return dense.transpose(0, 2, 1)
+
+
+def _offsets(xs: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(B, n, dim) stack of xs - centers[b]: xs is copied into place and one
+    in-place subtraction follows, faster than a broadcasting subtraction
+    into a new array."""
+    out = np.empty((centers.shape[0],) + xs.shape)
+    out[...] = xs
+    out -= centers[:, None, :]
+    return out
 
 
 def weighted_scatter(feats: np.ndarray, weights: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -72,36 +92,50 @@ def weighted_scatter(feats: np.ndarray, weights: np.ndarray, centers: np.ndarray
         raise DimensionMismatch(
             f"feats {feats.shape}, weights {weights.shape}, centers {centers.shape} disagree"
         )
-    diff = feats[None, :, :] - centers[:, None, :]
+    diff = _offsets(feats, centers)
     dense = (diff.transpose(0, 2, 1) * weights.T[:, None, :]) @ diff
     return pack(dense)
 
 
-def cholesky(covs: np.ndarray, jitter: float = 0.0, max_retries: int = 8) -> np.ndarray:
-    """Lower Cholesky factors L[b] with L[b] L[b]^T = covs[b] + jitter * I.
+def cholesky(packed: np.ndarray, jitter: float = 0.0, max_retries: int = 8,
+             ids: np.ndarray | None = None) -> np.ndarray:
+    """Lower Cholesky factors L[b] with L[b] L[b]^T = C[b] + jitter * I.
 
-    The whole (B, dim, dim) stack is factored in one call. If that fails,
+    packed holds the symmetric matrices C[b] as packed rows (B, P), so
+    finiteness is checked once per stored entry. The jitter goes onto the
+    diagonal of the unpacked stack, a new array, and packed is left
+    unchanged. The whole stack is factored in one call. If that fails,
     each matrix goes through its own jitter ladder (starting at 1e-6 when
     the given jitter is zero, doubling each retry, up to ``max_retries``
-    times) before NotPositiveDefinite is raised, so only a failing
-    matrix's jitter rises. Small effective sample counts make
-    near-singular covariances routine, so the ladder is load-bearing.
+    times) before NotPositiveDefinite, naming the matrix as ids[b]
+    (default b), is raised, so only a failing matrix's jitter rises. Small
+    effective sample counts make near-singular covariances routine, so the
+    ladder is load-bearing.
     """
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
-    covs = np.asarray(covs, dtype=np.float64)
-    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-        raise DimensionMismatch(f"expected a (B, dim, dim) stack, got shape {covs.shape}")
-    if not np.all(np.isfinite(covs)):
+    packed = np.asarray(packed, dtype=np.float64)
+    if packed.ndim != 2:
+        raise DimensionMismatch(f"expected packed rows (B, P), got shape {packed.shape}")
+    if not np.all(np.isfinite(packed)):
         raise NonFiniteInput("matrix contains non-finite entries")
-    eye = np.eye(covs.shape[1])
+    # d <= sqrt(2P) = sqrt(d^2 + d) < d + 1; unpack rejects any other P
+    dim = int(np.sqrt(2 * packed.shape[1]))
+    shifted = unpack(packed, dim)
+    if jitter != 0.0:
+        # einsum gives a writeable view of the diagonals
+        np.einsum("bii->bi", shifted)[...] += jitter
     try:
-        return np.linalg.cholesky(covs if jitter == 0.0 else covs + jitter * eye)
+        return np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return np.stack([_jitter_ladder(dense, float(jitter), max_retries, eye) for dense in covs])
+        eye = np.eye(dim)
+        return np.stack([
+            _jitter_ladder(dense, float(jitter), max_retries, eye, b if ids is None else ids[b])
+            for b, dense in enumerate(unpack(packed, dim))
+        ])
 
 
-def _jitter_ladder(dense: np.ndarray, current: float, max_retries: int, eye: np.ndarray):
+def _jitter_ladder(dense: np.ndarray, current: float, max_retries: int, eye: np.ndarray, name):
     for attempt in range(max_retries + 1):
         try:
             return np.linalg.cholesky(dense if current == 0.0 else dense + current * eye)
@@ -110,15 +144,19 @@ def _jitter_ladder(dense: np.ndarray, current: float, max_retries: int, eye: np.
                 break
             current = 1e-6 if current == 0.0 else 2.0 * current
     raise NotPositiveDefinite(
-        f"factorization failed after {max_retries} jitter retries (last jitter {current:g})"
+        f"factorization of mode {name} failed after {max_retries} jitter retries "
+        f"(last jitter {current:g})"
     )
 
 
-def log_gauss_density_batch(xs: np.ndarray, means: np.ndarray, chols: np.ndarray) -> np.ndarray:
+def log_gauss_density_batch(xs: np.ndarray, means: np.ndarray, chols: np.ndarray,
+                            ids: np.ndarray | None = None) -> np.ndarray:
     """log N(xs[i]; means[b], L[b] L[b]^T) for every row i and mode b, shape (n, B).
 
     xs (n, dim) must be finite; chols are lower factors (B, dim, dim).
-    Each mode costs one LAPACK triangular solve over all rows.
+    Each mode costs one in-place BLAS triangular solve over all rows. A
+    factor with a zero on its diagonal raises NotPositiveDefinite naming
+    the mode as ids[b] (default b).
     """
     xs = np.asarray(xs, dtype=np.float64)
     n_modes, dim = chols.shape[:2]
@@ -126,12 +164,20 @@ def log_gauss_density_batch(xs: np.ndarray, means: np.ndarray, chols: np.ndarray
         raise DimensionMismatch(
             f"xs {xs.shape}, means {means.shape} incompatible with factors {chols.shape}"
         )
-    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    out = np.empty((xs.shape[0], n_modes))
-    for b in range(n_modes):
-        # L^T is the Fortran-ordered upper factor, so LAPACK reads it in place
-        ys, info = dtrtrs(chols[b].T, (xs - means[b]).T, lower=0, trans=1)
-        if info != 0:
-            raise NotPositiveDefinite(f"triangular solve failed for mode {b} (info {info})")
-        out[:, b] = -0.5 * (dim * LOG_2PI + log_dets[b] + np.sum(ys * ys, axis=0))
-    return out
+    diag = np.diagonal(chols, axis1=1, axis2=2)
+    dead = diag == 0.0
+    if dead.any():
+        b, i = np.argwhere(dead)[0]
+        raise NotPositiveDefinite(
+            f"triangular solve failed for mode {b if ids is None else ids[b]}: "
+            f"zero pivot at row {i}"
+        )
+    log_dets = 2.0 * np.sum(np.log(diag), axis=1)
+    diffs = _offsets(xs, means)
+    # L^T and diffs[b]^T are Fortran-ordered (upper factor, right-hand
+    # side), so BLAS reads both in place and overwrites diffs[b] with the
+    # solution; assigning that result to itself copies nothing
+    for upper, rhs in zip(chols.transpose(0, 2, 1), diffs.transpose(0, 2, 1)):
+        rhs[...] = dtrsm(1.0, upper, rhs, side=0, lower=0, trans_a=1, overwrite_b=1)
+    sq_norms = np.sum(np.multiply(diffs, diffs, out=diffs), axis=2)
+    return (-0.5 * (dim * LOG_2PI + log_dets[:, None] + sq_norms)).T

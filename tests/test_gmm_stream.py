@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from gmmadapt import linalg
-from gmmadapt.errors import DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput
-from gmmadapt.gmm_stream import GaussianMixtureStream
+from gmmadapt import gmm_stream, linalg
+from gmmadapt.errors import (DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput,
+                             NotPositiveDefinite)
+from gmmadapt.gmm_stream import BLOCK, GaussianMixtureStream
 
 
 def onehot_rows(labels, n_classes):
@@ -180,8 +181,19 @@ class TestStreamingInvariants:
         for _ in range(10):
             gmm.update(rng.standard_normal((12, 5)), rng.dirichlet(np.ones(3), size=12))
             live = gmm.prototypes()[0]
-            L = linalg.cholesky(linalg.unpack(gmm.cov_packed[live], 5), gmm.jitter)
+            L = linalg.cholesky(gmm.cov_packed[live], gmm.jitter)
             assert np.all(np.isfinite(L))
+
+
+def edited(edit):
+    """Snapshot corruption: load the JSON document, apply edit to it, dump it."""
+
+    def corrupt(blob):
+        doc = json.loads(blob)
+        edit(doc)
+        return json.dumps(doc)
+
+    return corrupt
 
 
 class TestSnapshot:
@@ -216,6 +228,30 @@ class TestSnapshot:
         edit(doc)
         with pytest.raises(MalformedFile, match=f"snapshot lacks the field '{missing}'$"):
             GaussianMixtureStream.from_snapshot(json.dumps(doc))
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob[:len(blob) // 2],
+        lambda blob: "gmm " + blob,
+        lambda blob: f"[{blob}]",
+        edited(lambda doc: doc["modes"].__setitem__(1, [0.0])),
+        edited(lambda doc: doc.update(n_classes="2")),
+        edited(lambda doc: doc.update(dim=-1)),
+        edited(lambda doc: doc.update(batch_counter="x")),
+        edited(lambda doc: doc.update(n_classes=True)),
+        edited(lambda doc: doc.update(jitter=-1.0)),
+        edited(lambda doc: doc.update(modes={})),
+        edited(lambda doc: doc["modes"][0].update(mean=7.0)),
+        edited(lambda doc: doc["modes"][0]["mean"].__setitem__(0, "0.5")),
+        edited(lambda doc: doc["modes"][1].update(weight=None)),
+    ], ids=["truncated", "not_json", "top_level_list", "mode_not_object", "string_n_classes",
+            "negative_dim", "string_batch_counter", "bool_n_classes", "negative_jitter",
+            "modes_object", "number_mean", "string_in_mean", "null_weight"])
+    def test_unreadable_snapshot_is_malformed(self, corrupt):
+        rng = np.random.default_rng(6)
+        gmm = GaussianMixtureStream(2, 2).update(rng.standard_normal((5, 2)),
+                                                 rng.dirichlet(np.ones(2), size=5))
+        with pytest.raises(MalformedFile):
+            GaussianMixtureStream.from_snapshot(corrupt(gmm.to_snapshot()))
 
     def test_copy_is_independent(self):
         rng = np.random.default_rng(5)
@@ -284,12 +320,47 @@ class TestLikelihoodChecks:
         np.testing.assert_array_equal(logp[:, 1], alone.class_log_likelihoods_batch(x)[:, 0])
         assert np.all(np.isfinite(logp[:, 0]))
 
+    def test_zero_pivot_in_a_later_block_names_the_class(self, monkeypatch):
+        # LAPACK never returns a factor with a zero pivot, so one is planted
+        # in the factor of class BLOCK + 6, which the second block holds and
+        # whose covariance alone is 7 I
+        n_classes, target = 2 * BLOCK + 1, BLOCK + 6
+        gmm = mixture_from(np.zeros((n_classes, 3)), np.ones(n_classes))
+        gmm.cov_packed[target] *= 7.0
+        factor = linalg.cholesky
+
+        def planted(covs, *args, **kwargs):
+            chols = factor(covs, *args, **kwargs)
+            chols[chols[:, 0, 0] > 2.0, 1, 1] = 0.0
+            return chols
+
+        monkeypatch.setattr(linalg, "cholesky", planted)
+        with pytest.raises(NotPositiveDefinite, match=f"mode {target}: zero pivot at row 1$"):
+            gmm.likelihood_vectors(np.zeros((2, 3)))
+
+    def test_failed_factorization_in_a_later_block_names_the_class(self):
+        n_classes, target = 2 * BLOCK + 1, BLOCK + 6
+        gmm = mixture_from(np.zeros((n_classes, 3)), np.ones(n_classes))
+        gmm.cov_packed[target] *= -1.0
+        with pytest.raises(NotPositiveDefinite, match=f"factorization of mode {target} failed"):
+            gmm.likelihood_vectors(np.zeros((2, 3)))
+
+    def test_likelihoods_leave_the_state_unchanged(self):
+        rng = np.random.default_rng(8)
+        gmm = GaussianMixtureStream(BLOCK + 1, 4, jitter=1e-3)
+        gmm.update(*random_batch(rng, 16, BLOCK + 1, 4, [0]))
+        before = [a.tobytes() for a in (gmm.means, gmm.cov_packed, gmm.mass)]
+        gmm.likelihood_vectors(rng.standard_normal((5, 4)))
+        assert [a.tobytes() for a in (gmm.means, gmm.cov_packed, gmm.mass)] == before
+
 
 # -- properties ---------------------------------------------------------------
 # The per-class reference below is the recursion and the density written
 # one class at a time, as the module docstring states them. The blocked
 # implementation must match it bit for bit, across block boundaries
-# (BLOCK = 64) and with classes that receive no mass.
+# (gmm_stream.BLOCK classes each) and with classes that receive no mass.
+
+BLOCK_EDGES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
 
 def reference_update(state, feats, weights):
@@ -341,7 +412,7 @@ def random_batch(rng, n, n_classes, dim, dead):
 class TestBlockedProperties:
     @settings(max_examples=30, deadline=None)
     @given(
-        n_classes=st.sampled_from([1, 63, 64, 65, 129]),
+        n_classes=st.sampled_from(BLOCK_EDGES),
         dim=st.integers(1, 5),
         n_batches=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
@@ -365,9 +436,49 @@ class TestBlockedProperties:
             gmm.class_log_likelihoods_batch(xs), reference_log_likelihoods(state, xs, jitter)
         )
 
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_results_do_not_depend_on_block(self, monkeypatch, block):
+        rng = np.random.default_rng(block)
+        n_classes, dim = 2 * BLOCK + 1, 6
+        batches = [random_batch(rng, 20, n_classes, dim, [3, BLOCK + 2]) for _ in range(3)]
+        xs = rng.standard_normal((9, dim))
+
+        def run():
+            gmm = GaussianMixtureStream(n_classes, dim, jitter=1e-4)
+            for feats, w in batches:
+                gmm.update(feats, w)
+            return gmm.to_snapshot(), gmm.class_log_likelihoods_batch(xs).tobytes()
+
+        expected = run()
+        monkeypatch.setattr(gmm_stream, "BLOCK", block)
+        assert run() == expected
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        n_classes=st.sampled_from(BLOCK_EDGES),
+        n_batches=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blocked_equals_reference_at_dim_64(self, n_classes, n_batches, seed):
+        """dim 64, the default fd_r, is large enough for OpenBLAS to block
+        its Cholesky and triangular-solve kernels."""
+        rng = np.random.default_rng(seed)
+        dim, jitter = 64, 1e-6
+        gmm = GaussianMixtureStream(n_classes, dim, jitter)
+        state = (gmm.means.copy(), gmm.cov_packed.copy(), gmm.mass.copy())
+        for _ in range(n_batches):
+            feats, w = random_batch(rng, 80, n_classes, dim, [])
+            gmm.update(feats, w)
+            state = reference_update(state, feats, w)
+        np.testing.assert_array_equal(gmm.cov_packed, state[1])
+        xs = rng.standard_normal((7, dim))
+        np.testing.assert_array_equal(
+            gmm.class_log_likelihoods_batch(xs), reference_log_likelihoods(state, xs, jitter)
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(
-        n_classes=st.sampled_from([1, 3, 65]),
+        n_classes=st.sampled_from([1, 3, BLOCK + 1]),
         dim=st.integers(1, 4),
         n=st.integers(1, 16),
         seed=st.integers(0, 2**32 - 1),
@@ -387,7 +498,7 @@ class TestBlockedProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(
-        n_classes=st.sampled_from([1, 2, 3, 65]),
+        n_classes=st.sampled_from([1, 2, 3, BLOCK + 1]),
         dim=st.integers(1, 4),
         n=st.integers(2, 16),
         n_levels=st.integers(1, 3),
@@ -418,7 +529,7 @@ class TestBlockedProperties:
 
     @settings(max_examples=20, deadline=None)
     @given(
-        n_classes=st.sampled_from([1, 2, 65]),
+        n_classes=st.sampled_from([1, 2, BLOCK + 1]),
         dim=st.integers(1, 6),
         n_batches=st.integers(0, 3),
         seed=st.integers(0, 2**32 - 1),

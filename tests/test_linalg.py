@@ -51,44 +51,77 @@ class TestSymMat:
 
 class TestCholesky:
     def test_identity_no_jitter(self):
-        L = linalg.cholesky(np.eye(2)[None], jitter=0.0)[0]
+        L = linalg.cholesky(linalg.pack(np.eye(2)[None]), jitter=0.0)[0]
         np.testing.assert_array_equal(L, np.eye(2))
 
     def test_hand_factorization(self):
         m = np.array([[4.0, 2.0], [2.0, 3.0]])
-        L = linalg.cholesky(m[None], jitter=0.0)[0]
+        L = linalg.cholesky(linalg.pack(m[None]), jitter=0.0)[0]
         expected = np.array([[2.0, 0.0], [1.0, np.sqrt(2.0)]])
         np.testing.assert_allclose(L, expected, rtol=1e-15)
         np.testing.assert_allclose(L @ L.T, m, rtol=1e-15)
 
     def test_pure_jitter_case(self):
-        L = linalg.cholesky(np.zeros((1, 2, 2)), jitter=1e-6)[0]
+        L = linalg.cholesky(np.zeros((1, 3)), jitter=1e-6)[0]
         np.testing.assert_allclose(L, np.sqrt(1e-6) * np.eye(2), rtol=1e-12)
 
     def test_jitter_ladder_rescues_singular(self):
         # rank-1 matrix, zero jitter: ladder kicks in at 1e-6
         d = np.array([1.0, 2.0, 3.0])
-        L = linalg.cholesky(np.outer(d, d)[None], jitter=0.0)
+        L = linalg.cholesky(linalg.pack(np.outer(d, d)[None]), jitter=0.0)
         assert np.all(np.isfinite(L))
 
     def test_ladder_only_for_failing_matrix(self):
         # one singular matrix in the stack: its neighbour keeps the base jitter
         d = np.array([1.0, 2.0, 3.0])
         spd = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
-        L = linalg.cholesky(np.stack([np.outer(d, d), spd]), jitter=0.0)
+        L = linalg.cholesky(linalg.pack(np.stack([np.outer(d, d), spd])), jitter=0.0)
         np.testing.assert_array_equal(L[1], np.linalg.cholesky(spd))
         assert np.all(np.isfinite(L[0]))
         assert np.max(np.abs(L[0] @ L[0].T - np.outer(d, d))) > 0.0
 
     def test_ladder_exhaustion_raises(self):
         with pytest.raises(NotPositiveDefinite):
-            linalg.cholesky(-np.eye(3)[None], jitter=0.0)
+            linalg.cholesky(linalg.pack(-np.eye(3)[None]), jitter=0.0)
+
+    def test_ladder_exhaustion_names_the_mode(self):
+        packed = linalg.pack(np.stack([np.eye(3), -np.eye(3)]))
+        with pytest.raises(NotPositiveDefinite, match="factorization of mode 70 failed"):
+            linalg.cholesky(packed, jitter=1e-6, ids=np.array([40, 70]))
+
+    @pytest.mark.parametrize("jitter,failing", [(0.0, False), (1e-3, False), (1e-3, True)],
+                             ids=["no_jitter", "jitter", "jitter_ladder"])
+    def test_input_left_unchanged(self, jitter, failing):
+        # the jitter goes onto the unpacked stack's diagonal, never onto the caller's rows
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3, 5, 8))
+        covs = a @ a.transpose(0, 2, 1)
+        if failing:
+            covs[1] = np.diag([-1.5e-3, 1.0, 1.0, 1.0, 1.0])  # factors at twice the jitter
+        packed = linalg.pack(covs)
+        before = packed.tobytes()
+        linalg.cholesky(packed, jitter=jitter)
+        assert packed.tobytes() == before
+
+    @pytest.mark.parametrize("jitter", [0.0, 1e-3])
+    def test_factor_of_the_jittered_matrix_bit_for_bit(self, jitter):
+        # dim 64 is large enough for LAPACK to block; the jitter added to the
+        # unpacked diagonal gives the factor of the dense covs + jitter * I
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((4, 64, 80))
+        dense = linalg.unpack(linalg.pack(a @ a.transpose(0, 2, 1)), 64)
+        np.testing.assert_array_equal(linalg.cholesky(linalg.pack(dense), jitter=jitter),
+                                      np.linalg.cholesky(dense + jitter * np.eye(64)))
+
+    def test_rows_of_no_triangle_size_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            linalg.cholesky(np.ones((2, 5)), jitter=1e-6)
 
     def test_non_finite_rejected(self):
         covs = np.stack([np.eye(2), np.eye(2)])
         covs[1, 0, 0] = np.nan
         with pytest.raises(NonFiniteInput):
-            linalg.cholesky(covs, jitter=1e-6)
+            linalg.cholesky(linalg.pack(covs), jitter=1e-6)
 
     def test_reconstruction_random_spd(self):
         # ||L L^T - (m + jitter I)||_max < 1e-10 on random SPD up to dim 64
@@ -97,7 +130,7 @@ class TestCholesky:
             a = rng.standard_normal((dim, dim))
             spd = a @ a.T + dim * np.eye(dim)
             jitter = 1e-4
-            L = linalg.cholesky(spd[None], jitter=jitter)[0]
+            L = linalg.cholesky(linalg.pack(spd[None]), jitter=jitter)[0]
             err = np.max(np.abs(L @ L.T - (spd + jitter * np.eye(dim))))
             assert err < 1e-10
 
@@ -132,11 +165,17 @@ class TestLogGaussDensity:
         with np.errstate(divide="ignore"), pytest.raises(NotPositiveDefinite):
             linalg.log_gauss_density_batch(np.ones((2, 3)), np.zeros((2, 3)), L)
 
+    def test_zero_pivot_names_the_mode(self):
+        L = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        with pytest.raises(NotPositiveDefinite, match="mode 70: zero pivot at row 2$"):
+            linalg.log_gauss_density_batch(np.ones((2, 3)), np.zeros((2, 3)), L,
+                                           ids=np.array([40, 70]))
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         dim, n_modes = 4, 3
         a = rng.standard_normal((n_modes, dim, dim))
-        L = linalg.cholesky(a @ a.transpose(0, 2, 1) + np.eye(dim), jitter=0.0)
+        L = linalg.cholesky(linalg.pack(a @ a.transpose(0, 2, 1) + np.eye(dim)), jitter=0.0)
         means = rng.standard_normal((n_modes, dim))
         xs = rng.standard_normal((10, dim))
         batch = linalg.log_gauss_density_batch(xs, means, L)
@@ -154,7 +193,7 @@ class TestLogGaussDensity:
             a = rng.standard_normal((dim, dim))
             spd = a @ a.T + 0.5 * np.eye(dim)
             jitter = 1e-5
-            L = linalg.cholesky(spd[None], jitter=jitter)[0]
+            L = linalg.cholesky(linalg.pack(spd[None]), jitter=jitter)[0]
             mean = rng.standard_normal(dim)
             x = rng.standard_normal(dim)
             got = log_density_one(x, mean, L)
@@ -173,7 +212,7 @@ class TestLogGaussDensity:
         a = rng.standard_normal((2, 2))
         cov = a @ a.T + np.eye(2)
         mean = rng.standard_normal(2)
-        L = linalg.cholesky(cov[None], jitter=0.0)
+        L = linalg.cholesky(linalg.pack(cov[None]), jitter=0.0)
         stds = np.sqrt(np.diag(cov))
         lo, hi = mean - 6 * stds, mean + 6 * stds
         n = 1_000_000
