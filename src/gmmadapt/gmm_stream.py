@@ -31,6 +31,7 @@ what ``memory_footprint`` counts.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -209,8 +210,9 @@ class GaussianMixtureStream:
         """Load a snapshot, rejecting any mode that does not fit the header.
 
         Raises MalformedFile for text that is not a JSON object, another
-        version, a missing field, a header value of the wrong type or
-        range, or a mode that is not an object of number lists;
+        version, a missing or unknown field, a header value of the wrong
+        type or range, or a mode that is not an object of number lists
+        (a JSON boolean is not a number);
         DimensionMismatch for a mode count other than n_classes or a
         mean/cov_packed of the wrong length; and NonFiniteInput for a
         non-finite value or a negative weight.
@@ -223,6 +225,7 @@ class GaussianMixtureStream:
             raise MalformedFile(f"snapshot must be a JSON object, got {type(doc).__name__}")
         if doc.get("format_version") != SNAPSHOT_VERSION:
             raise MalformedFile(f"unsupported snapshot version {doc.get('format_version')!r}")
+        _reject_unknown_fields(doc, _SNAPSHOT_FIELDS, "snapshot")
         try:
             for key, types, least in _HEADER_FIELDS:
                 value = doc[key]
@@ -234,6 +237,8 @@ class GaussianMixtureStream:
             n_classes, dim, modes = doc["n_classes"], doc["dim"], doc["modes"]
             if type(modes) is not list or any(type(entry) is not dict for entry in modes):
                 raise MalformedFile("snapshot modes must be a list of objects")
+            for c, entry in enumerate(modes):
+                _reject_unknown_fields(entry, _MODE_FIELDS, f"snapshot mode {c}")
             if len(modes) != n_classes:
                 raise DimensionMismatch(f"{len(modes)} modes for {n_classes} classes")
             for key, size in (("mean", dim), ("cov_packed", linalg.packed_size(dim))):
@@ -247,11 +252,11 @@ class GaussianMixtureStream:
             state = cls(n_classes, dim, doc["jitter"])
             state.batch_counter = doc["batch_counter"]
             state.mass = _number_array([entry["weight"] for entry in modes], "weight",
-                                       state.mass.shape)
+                                       nested=False)
             state.means = _number_array([entry["mean"] for entry in modes], "mean",
-                                        state.means.shape)
+                                        nested=True)
             state.cov_packed = _number_array([entry["cov_packed"] for entry in modes],
-                                             "cov_packed", state.cov_packed.shape)
+                                             "cov_packed", nested=True)
         except KeyError as err:
             raise MalformedFile(f"snapshot lacks the field {err}") from err
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
@@ -260,6 +265,10 @@ class GaussianMixtureStream:
             raise NonFiniteInput("mode means and covariances must be finite")
         return state
 
+
+# The keys of a snapshot and of each of its modes, in the order written.
+_SNAPSHOT_FIELDS = ("format_version", "n_classes", "dim", "jitter", "batch_counter", "modes")
+_MODE_FIELDS = ("weight", "mean", "cov_packed")
 
 # Snapshot header fields: (key, accepted JSON value types, least value).
 # bool is not accepted where int is: type(True) is bool, not int.
@@ -271,13 +280,27 @@ _HEADER_FIELDS = (
 )
 
 
-def _number_array(rows: list, key: str, shape: tuple[int, ...]) -> np.ndarray:
+def _reject_unknown_fields(doc: dict, fields: tuple[str, ...], where: str) -> None:
+    unknown = sorted(doc.keys() - set(fields))
+    if unknown:
+        raise MalformedFile(f"{where} has the unknown field(s) {', '.join(map(repr, unknown))}")
+
+
+def _number_array(rows: list, key: str, nested: bool) -> np.ndarray:
     """float64 array of one snapshot field over all modes; MalformedFile
-    unless it is made of JSON numbers in the given shape."""
+    unless every value is a JSON number.
+
+    rows holds one value per mode, or with nested one list per mode, of
+    lengths the caller has checked. Python reads a JSON boolean as bool,
+    which numpy would take for 0 or 1, so the value types are tested, in
+    one C-level pass over the values.
+    """
+    values = itertools.chain.from_iterable(rows) if nested else rows
+    found = set(map(type, values)) - {int, float}
+    if found:
+        names = ", ".join(sorted(t.__name__ for t in found))
+        raise MalformedFile(f"every mode's {key} must be made of numbers only, found {names}")
     try:
-        values = np.array(rows)
-    except ValueError as err:
-        raise MalformedFile(f"mode {key} values are nested unevenly") from err
-    if values.dtype.kind not in "if" or values.shape != shape:
-        raise MalformedFile(f"every mode's {key} must be made of numbers only")
-    return values.astype(np.float64, copy=False)
+        return np.array(rows, dtype=np.float64)
+    except OverflowError as err:
+        raise MalformedFile(f"a mode's {key} holds an integer too large for a float") from err

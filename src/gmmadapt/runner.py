@@ -155,7 +155,8 @@ def adapt_stream(cfg: RunConfig, model: ToyModel, stream: TargetStream) -> Adapt
                 loss_k, d_logits = kld_loss(cache.probs, pseudo, n_classes)
                 d_logits = cfg.lam * d_logits
             if use_contrastive:
-                cache_aug = model.forward(augment(batch.inputs, aug_rng, cfg.augment_sigma))
+                cache_aug = model.forward(augment(batch.inputs, aug_rng, cfg.augment_sigma),
+                                          classifier=False)
                 loss_c, d_feats = contrastive_loss(
                     np.vstack([cache.reduced, cache_aug.reduced]), np.concatenate([pseudo, pseudo]),
                     gmm.means, n_classes, cfg.temperature, cfg.unknown_positive_pairs,

@@ -6,6 +6,14 @@ mixture consumes the output of the reduction layer (dimension fd_r), which
 branches off the same hidden features. Gradients are exact and analytic;
 the reduction layer only receives gradient from losses that consume the
 reduced features.
+
+Each pass computes only what its caller reads. ``forward`` runs the heads
+it is asked for, ``backward`` returns gradients only for the parameters
+its upstream gradients reach, and ``sgd_step`` counts a missing gradient
+as zero: that parameter's velocity still decays and is still applied.
+Source training reads the classifier alone, so it never computes,
+differentiates or changes the reduction head; W_r and b_r keep their
+initial values and zero velocities.
 """
 from __future__ import annotations
 
@@ -38,11 +46,11 @@ class OptimizerConfig:
 class ForwardCache:
     """Per-batch intermediates needed for exact backprop."""
 
-    x: np.ndarray        # (n, d_in)
-    hidden: np.ndarray   # (n, fd), tanh activations g(x)
-    reduced: np.ndarray  # (n, fd_r), r(g(x))
-    logits: np.ndarray   # (n, n_classes)
-    probs: np.ndarray    # (n, n_classes), softmax rows
+    x: np.ndarray               # (n, d_in)
+    hidden: np.ndarray          # (n, fd), tanh activations g(x)
+    reduced: np.ndarray | None  # (n, fd_r), r(g(x)); None without the reduction head
+    logits: np.ndarray | None   # (n, n_classes); None without the classifier
+    probs: np.ndarray | None    # (n, n_classes), softmax rows; None without the classifier
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -74,7 +82,9 @@ class ToyModel:
     def copy(self) -> "ToyModel":
         return copy.deepcopy(self)
 
-    def forward(self, x: np.ndarray) -> ForwardCache:
+    def forward(self, x: np.ndarray, *, reduction: bool = True,
+                classifier: bool = True) -> ForwardCache:
+        """Hidden features plus the heads asked for; a head not asked for is None."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.d_in:
             raise DimensionMismatch(f"input shape {x.shape}, expected (n, {self.d_in})")
@@ -82,10 +92,13 @@ class ToyModel:
             raise NonFiniteInput("input contains non-finite values")
         p = self.params
         hidden = np.tanh(x @ p["W_g"].T + p["b_g"])
-        reduced = hidden @ p["W_r"].T + p["b_r"]
-        logits = hidden @ p["W_h"].T + p["b_h"]
-        return ForwardCache(x=x, hidden=hidden, reduced=reduced, logits=logits,
-                            probs=softmax(logits))
+        reduced = logits = probs = None
+        if reduction:
+            reduced = hidden @ p["W_r"].T + p["b_r"]
+        if classifier:
+            logits = hidden @ p["W_h"].T + p["b_h"]
+            probs = softmax(logits)
+        return ForwardCache(x=x, hidden=hidden, reduced=reduced, logits=logits, probs=probs)
 
     def backward(
         self,
@@ -93,43 +106,51 @@ class ToyModel:
         d_reduced: np.ndarray | None = None,
         d_logits: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
-        """Parameter gradients for upstream gradients on the two heads.
+        """Gradients of the parameters the given upstream gradients reach.
 
         d_reduced flows through the reduction layer, d_logits through the
         classifier; both meet at the shared hidden activations and continue
-        into the extractor. Either may be None (treated as zero).
+        into the extractor. Either may be None (no gradient on that head),
+        and a head's parameters are in the result only when its upstream
+        gradient is given; with neither, the result is empty.
         """
         p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        grads = {}
         d_hidden = np.zeros_like(cache.hidden)
-        if d_reduced is not None:
-            d_reduced = np.asarray(d_reduced, dtype=np.float64)
-            if d_reduced.shape != cache.reduced.shape:
-                raise DimensionMismatch("d_reduced shape does not match cache")
-            grads["W_r"] = d_reduced.T @ cache.hidden
-            grads["b_r"] = d_reduced.sum(axis=0)
-            d_hidden += d_reduced @ p["W_r"]
-        if d_logits is not None:
-            d_logits = np.asarray(d_logits, dtype=np.float64)
-            if d_logits.shape != cache.logits.shape:
-                raise DimensionMismatch("d_logits shape does not match cache")
-            grads["W_h"] = d_logits.T @ cache.hidden
-            grads["b_h"] = d_logits.sum(axis=0)
-            d_hidden += d_logits @ p["W_h"]
+        heads = (("d_reduced", d_reduced, cache.reduced, "W_r", "b_r"),
+                 ("d_logits", d_logits, cache.logits, "W_h", "b_h"))
+        for name, upstream, output, W, b in heads:
+            if upstream is None:
+                continue
+            if output is None:
+                raise DimensionMismatch(f"{name} given for a head the forward pass skipped")
+            upstream = np.asarray(upstream, dtype=np.float64)
+            if upstream.shape != output.shape:
+                raise DimensionMismatch(f"{name} shape does not match cache")
+            grads[W] = upstream.T @ cache.hidden
+            grads[b] = upstream.sum(axis=0)
+            d_hidden += upstream @ p[W]
+        if not grads:
+            return grads
         d_pre = d_hidden * (1.0 - cache.hidden ** 2)  # tanh'
         grads["W_g"] = d_pre.T @ cache.x
         grads["b_g"] = d_pre.sum(axis=0)
         return grads
 
     def sgd_step(self, grads: dict[str, np.ndarray], cfg: OptimizerConfig) -> "ToyModel":
-        """v <- momentum*v + grad; param <- param - lr*v (standard momentum)."""
+        """v <- momentum*v + grad; param <- param - lr*v (standard momentum).
+
+        A parameter missing from grads has a zero gradient: its velocity
+        decays and is applied, and nothing is added to it.
+        """
         for name in PARAM_NAMES:
-            g = grads[name]
-            if not np.all(np.isfinite(g)):
+            g = grads.get(name)
+            if g is not None and not np.all(np.isfinite(g)):
                 raise NonFiniteGradient(f"gradient for {name} is not finite")
             v = self.velocity[name]
             v *= cfg.momentum
-            v += g
+            if g is not None:
+                v += g
             self.params[name] -= cfg.learning_rate * v
         return self
 
@@ -216,7 +237,7 @@ def train_source(
         losses = []
         for start in range(0, x.shape[0], batch_size):
             idx = order[start:start + batch_size]
-            cache = model.forward(x[idx])
+            cache = model.forward(x[idx], reduction=False)
             loss, d_logits = cross_entropy_loss(cache.probs, y[idx])
             grads = model.backward(cache, d_logits=d_logits)
             model.sgd_step(grads, cfg)
@@ -226,7 +247,7 @@ def train_source(
 
 
 def accuracy(model: ToyModel, x: np.ndarray, y: np.ndarray) -> float:
-    preds = np.argmax(model.forward(x).probs, axis=1)
+    preds = np.argmax(model.forward(x, reduction=False).probs, axis=1)
     return float(np.mean(preds == np.asarray(y)))
 
 

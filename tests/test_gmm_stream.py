@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -243,15 +244,32 @@ class TestSnapshot:
         edited(lambda doc: doc["modes"][0].update(mean=7.0)),
         edited(lambda doc: doc["modes"][0]["mean"].__setitem__(0, "0.5")),
         edited(lambda doc: doc["modes"][1].update(weight=None)),
+        edited(lambda doc: doc["modes"][0].update(weight=True)),
+        edited(lambda doc: doc["modes"][1]["mean"].__setitem__(0, False)),
+        edited(lambda doc: doc["modes"][1]["cov_packed"].__setitem__(0, 10 ** 400)),
+        edited(lambda doc: doc.update(extra=1)),
+        edited(lambda doc: doc["modes"][1].update(stray=[1])),
     ], ids=["truncated", "not_json", "top_level_list", "mode_not_object", "string_n_classes",
             "negative_dim", "string_batch_counter", "bool_n_classes", "negative_jitter",
-            "modes_object", "number_mean", "string_in_mean", "null_weight"])
+            "modes_object", "number_mean", "string_in_mean", "null_weight", "bool_weight",
+            "bool_in_mean", "huge_int_in_cov", "extra_field", "stray_mode_field"])
     def test_unreadable_snapshot_is_malformed(self, corrupt):
         rng = np.random.default_rng(6)
         gmm = GaussianMixtureStream(2, 2).update(rng.standard_normal((5, 2)),
                                                  rng.dirichlet(np.ones(2), size=5))
         with pytest.raises(MalformedFile):
             GaussianMixtureStream.from_snapshot(corrupt(gmm.to_snapshot()))
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda doc: doc.update(extra=1), "snapshot has the unknown field(s) 'extra'"),
+        (lambda doc: doc["modes"][1].update(stray=[1]),
+         "snapshot mode 1 has the unknown field(s) 'stray'"),
+    ], ids=["top_level", "mode"])
+    def test_unknown_field_is_named(self, edit, named):
+        doc = json.loads(GaussianMixtureStream(2, 2).to_snapshot())
+        edit(doc)
+        with pytest.raises(MalformedFile, match=re.escape(named)):
+            GaussianMixtureStream.from_snapshot(json.dumps(doc))
 
     def test_copy_is_independent(self):
         rng = np.random.default_rng(5)

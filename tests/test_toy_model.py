@@ -6,11 +6,13 @@ import pytest
 
 from gmmadapt.errors import DimensionMismatch, MalformedFile, NonFiniteGradient
 from gmmadapt.toy_model import (
+    PARAM_NAMES,
     OptimizerConfig,
     ToyModel,
     accuracy,
     augment,
     cross_entropy_loss,
+    softmax,
     train_source,
 )
 
@@ -66,6 +68,18 @@ class TestForward:
         with pytest.raises(DimensionMismatch):
             model.forward(np.zeros((2, 4)))
 
+    def test_one_head_gives_the_bytes_of_the_full_pass(self):
+        model = ToyModel(d_in=20, fd=256, fd_r=64, n_classes=9, seed=3)
+        x = np.random.default_rng(4).standard_normal((64, 20))
+        full = model.forward(x)
+        reduction = model.forward(x, classifier=False)
+        classifier = model.forward(x, reduction=False)
+        assert reduction.reduced.tobytes() == full.reduced.tobytes()
+        assert reduction.logits is None and reduction.probs is None
+        assert classifier.reduced is None
+        assert classifier.logits.tobytes() == full.logits.tobytes()
+        assert classifier.probs.tobytes() == full.probs.tobytes()
+
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
@@ -107,7 +121,28 @@ class TestBackward:
                 num[idx] = (up - down) / (2 * h)
                 it.iternext()
             denom = max(np.linalg.norm(num), 1e-12)
-            assert np.linalg.norm(grads[name] - num) / denom < 1e-4
+            # a parameter the loss does not reach has no entry: its gradient is zero
+            analytic = grads.get(name, np.zeros_like(g))
+            assert np.linalg.norm(analytic - num) / denom < 1e-4
+
+    def test_gradients_only_where_the_upstream_reaches(self):
+        rng = np.random.default_rng(8)
+        model = ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=1)
+        cache = model.forward(rng.standard_normal((2, 3)))
+        d_red, d_log = rng.standard_normal((2, 2)), rng.standard_normal((2, 3))
+        assert model.backward(cache) == {}
+        assert set(model.backward(cache, d_reduced=d_red)) == {"W_g", "b_g", "W_r", "b_r"}
+        assert set(model.backward(cache, d_logits=d_log)) == {"W_g", "b_g", "W_h", "b_h"}
+        assert set(model.backward(cache, d_reduced=d_red, d_logits=d_log)) == set(PARAM_NAMES)
+
+    def test_upstream_for_a_skipped_head_rejected(self):
+        model = ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=1)
+        with pytest.raises(DimensionMismatch, match="d_logits"):
+            model.backward(model.forward(np.zeros((2, 3)), classifier=False),
+                           d_logits=np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch, match="d_reduced"):
+            model.backward(model.forward(np.zeros((2, 3)), reduction=False),
+                           d_reduced=np.zeros((2, 2)))
 
     def test_duplicated_sample_doubles_gradient(self):
         rng = np.random.default_rng(9)
@@ -158,6 +193,23 @@ class TestSgdStep:
                 model.params[k], params_after[k] - 0.1 * 0.9 * vel_after[k], rtol=1e-12
             )
             np.testing.assert_allclose(model.velocity[k], 0.9 * vel_after[k], rtol=1e-12)
+
+    def test_missing_gradient_is_an_explicit_zero_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        cfg = OptimizerConfig(learning_rate=0.07, momentum=0.9)
+        model = ToyModel(d_in=3, fd=5, fd_r=2, n_classes=4, seed=6)
+        model.sgd_step({k: rng.standard_normal(v.shape) for k, v in model.params.items()}, cfg)
+        grads = {k: rng.standard_normal(v.shape) for k, v in model.params.items()
+                 if k not in ("W_r", "b_h")}
+        missing, explicit = model.copy(), model.copy()
+        missing.sgd_step(grads, cfg)
+        explicit.sgd_step(dict(grads, W_r=np.zeros_like(model.params["W_r"]),
+                               b_h=np.zeros_like(model.params["b_h"])), cfg)
+        for k in PARAM_NAMES:
+            assert missing.params[k].tobytes() == explicit.params[k].tobytes()
+            assert missing.velocity[k].tobytes() == explicit.velocity[k].tobytes()
+        # the velocity was not zero, so the skipped parameters still moved
+        assert not np.array_equal(missing.params["W_r"], model.params["W_r"])
 
     def test_non_finite_gradient_rejected(self):
         model = ToyModel(d_in=1, fd=1, fd_r=1, n_classes=2, seed=0)
@@ -227,6 +279,79 @@ class TestTrainSource:
         with pytest.raises(ValueError):
             train_source(model, np.zeros((2, 2)), np.array([0, 5]),
                          epochs=1, cfg=OptimizerConfig(0.1, 0.9))
+
+
+def two_head_train_source(model, x, y, epochs, cfg, batch_size, seed):
+    """Reference source training as it ran before the heads were chosen per
+    pass: both heads forward, six gradients (zero for W_r and b_r), six
+    momentum updates."""
+    p, vel = model.params, model.velocity
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(x.shape[0])
+        losses = []
+        for start in range(0, x.shape[0], batch_size):
+            idx = order[start:start + batch_size]
+            xb = x[idx]
+            hidden = np.tanh(xb @ p["W_g"].T + p["b_g"])
+            _reduced = hidden @ p["W_r"].T + p["b_r"]
+            logits = hidden @ p["W_h"].T + p["b_h"]
+            loss, d_logits = cross_entropy_loss(softmax(logits), y[idx])
+            grads = {k: np.zeros_like(v) for k, v in p.items()}
+            d_hidden = np.zeros_like(hidden)
+            grads["W_h"] = d_logits.T @ hidden
+            grads["b_h"] = d_logits.sum(axis=0)
+            d_hidden += d_logits @ p["W_h"]
+            d_pre = d_hidden * (1.0 - hidden ** 2)
+            grads["W_g"] = d_pre.T @ xb
+            grads["b_g"] = d_pre.sum(axis=0)
+            for name in PARAM_NAMES:
+                assert np.all(np.isfinite(grads[name]))
+                v = vel[name]
+                v *= cfg.momentum
+                v += grads[name]
+                p[name] -= cfg.learning_rate * v
+            losses.append(loss)
+        history.append(float(np.mean(losses)))
+    return history
+
+
+def default_source_problem():
+    from gmmadapt.config import default_config
+    from gmmadapt.runner import build_task, derive_seeds
+
+    cfg = default_config()
+    source, _ = build_task(cfg)
+    seeds = derive_seeds(cfg.seed)
+    model = ToyModel(cfg.domain.d_in, cfg.fd, cfg.fd_r, cfg.shift.n_source_classes,
+                     seed=seeds["model"])
+    return (model, source.x_train, source.y_train, cfg.source_epochs,
+            OptimizerConfig(cfg.source_lr, cfg.momentum), cfg.n_b, seeds["source_train"])
+
+
+def small_source_problem():
+    # 150 samples in batches of 32 leave a short last batch
+    rng = np.random.default_rng(21)
+    model = ToyModel(d_in=5, fd=7, fd_r=3, n_classes=4, seed=22)
+    return (model, rng.standard_normal((150, 5)), rng.integers(0, 4, size=150), 4,
+            OptimizerConfig(0.05, 0.5), 32, 23)
+
+
+@pytest.mark.parametrize("problem", [default_source_problem, small_source_problem],
+                         ids=["default", "small"])
+def test_train_source_matches_two_head_reference(problem):
+    model, *args = problem()
+    initial = model.copy()
+    reference = model.copy()
+    history = train_source(model, *args)
+    assert history == two_head_train_source(reference, *args)
+    for k in PARAM_NAMES:
+        assert model.params[k].tobytes() == reference.params[k].tobytes(), k
+        assert model.velocity[k].tobytes() == reference.velocity[k].tobytes(), k
+    for k in ("W_r", "b_r"):
+        assert model.params[k].tobytes() == initial.params[k].tobytes()
+        assert model.velocity[k].tobytes() == np.zeros_like(model.velocity[k]).tobytes()
 
 
 class TestCheckpoint:
