@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import functools
 import json
-import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_keys, check_type, declared_types
 from .simulator import DomainSpec, ShiftSpec
 
 LOSS_MODES = ("both", "contrastive_only", "kld_only", "none")
@@ -35,6 +34,9 @@ _FIELD_OF_KEY = {v: k for k, v in _KEY_OF_FIELD.items()}
 
 # The scalar key that stands in for the array domain.shift_translation.
 _SCALE_PATH = ("domain", "translation_scale")
+
+# The value types of scalar config keys; fields of other types have no key.
+_SCALARS = (bool, int, float, str)
 
 
 @dataclass
@@ -81,7 +83,8 @@ class RunConfig:
         for path, typ, nullable in config_keys():
             if path != _SCALE_PATH:  # resolved into shift_translation, not stored
                 owner = functools.reduce(getattr, path[:-1], self)
-                _check_type(path, typ, nullable, getattr(owner, field_name(path[-1])))
+                check_type(getattr(owner, field_name(path[-1])), typ, nullable, ".".join(path),
+                           ConfigError)
         if self.shift.n_source_classes < 2:
             raise ConfigError("need at least 2 source classes")
         if self.fd < 1 or self.fd_r < 1:
@@ -128,24 +131,17 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        doc = dict(doc)
-        doc.pop("derived", None)
-        for key, name in _FIELD_OF_KEY.items():
-            if key in doc:
-                doc[name] = doc.pop(key)
-        try:
-            shift = ShiftSpec(**doc.pop("shift")) if "shift" in doc else cls().shift
-            dom_doc = dict(doc.pop("domain")) if "domain" in doc else None
-            known = {f for f in cls.__dataclass_fields__}
-            unknown = set(doc) - known
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            cfg = cls(shift=shift, **doc)
-            if dom_doc is not None:
-                cfg.domain = _domain_from_dict(dom_doc)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(str(err)) from err
-        return cfg.validate()
+        """Config from a complete document, as to_dict or resolved_dict
+        write it (its derived section is ignored); ConfigError names a
+        missing, unknown or mistyped key."""
+        if isinstance(doc, dict):
+            doc = {k: v for k, v in doc.items() if k != "derived"}
+        check_keys(doc, [_KEY_OF_FIELD.get(f, f) for f in declared_types(cls)], "config",
+                   ConfigError)
+        values = {field_name(k): v for k, v in doc.items()}
+        values["shift"] = _section(ShiftSpec, values["shift"], "shift")
+        values["domain"] = _domain_from_dict(values["domain"])
+        return cls(**values).validate()
 
 
 @functools.cache
@@ -160,29 +156,16 @@ def config_keys() -> tuple[tuple[tuple[str, ...], type, bool], ...]:
     keys = []
 
     def walk(cls, prefix):
-        hints = typing.get_type_hints(cls)
-        for f in fields(cls):
-            hint = hints[f.name]
-            args = [a for a in typing.get_args(hint) if a is not type(None)]
-            typ = args[0] if args else hint
-            path = prefix + (_KEY_OF_FIELD.get(f.name, f.name),)
+        for name, (typ, nullable) in declared_types(cls).items():
+            path = prefix + (_KEY_OF_FIELD.get(name, name),)
             if is_dataclass(typ):
                 walk(typ, path)
-            elif typ in (bool, int, float, str):
-                keys.append((path, typ, type(None) in typing.get_args(hint)))
+            elif typ in _SCALARS:
+                keys.append((path, typ, nullable))
 
     walk(RunConfig, ())
     keys.append((_SCALE_PATH, float, True))
     return tuple(keys)
-
-
-def _check_type(path: tuple[str, ...], typ: type, nullable: bool, value) -> None:
-    """An int key needs a non-bool int, a float key an int or a float."""
-    accepted = (int, float) if typ is float else typ
-    if not (value is None and nullable) and (
-            not isinstance(value, accepted) or isinstance(value, bool) and typ is not bool):
-        null = " or null" if nullable else ""
-        raise ConfigError(f"{'.'.join(path)} must be {typ.__name__}{null}, got {value!r}")
 
 
 def field_name(key: str) -> str:
@@ -190,17 +173,30 @@ def field_name(key: str) -> str:
     return _FIELD_OF_KEY.get(key, key)
 
 
-def _domain_from_dict(doc: dict) -> DomainSpec:
-    doc = dict(doc)
-    scale = doc.pop("translation_scale", None)
-    _check_type(_SCALE_PATH, float, True, scale)
+def _section(cls, doc, name: str):
+    """The dataclass of a nested config section, built once its keys and
+    scalar value types are checked."""
+    check_keys(doc, declared_types(cls), name, ConfigError)
+    for key, (typ, nullable) in declared_types(cls).items():
+        if typ in _SCALARS:
+            check_type(doc[key], typ, nullable, f"{name}.{key}", ConfigError)
     try:
-        dom = DomainSpec(**doc)
+        return cls(**doc)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
+
+
+def _domain_from_dict(doc) -> DomainSpec:
+    """The domain section, where translation_scale may stand in for shift_translation."""
+    if not (isinstance(doc, dict) and "translation_scale" in doc):
+        return _section(DomainSpec, doc, "domain")
+    doc = dict(doc)
+    scale = doc.pop("translation_scale")
+    check_type(scale, float, True, ".".join(_SCALE_PATH), ConfigError)
+    if "shift_translation" in doc:
+        raise ConfigError("give either shift_translation or translation_scale, not both")
+    dom = _section(DomainSpec, dict(doc, shift_translation=None), "domain")
     if scale is not None:
-        if doc.get("shift_translation") is not None:
-            raise ConfigError("give either shift_translation or translation_scale, not both")
         dom.shift_translation = resolve_translation(dom, float(scale))
     return dom
 
@@ -230,6 +226,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
                 user = json.load(fh)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config is not valid JSON: {err}") from err
+        check_type(user, dict, False, f"config {path}", ConfigError)
         _reconcile_translation(doc, user)
         doc = _merge(doc, user)
     if overrides:
@@ -240,12 +237,12 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 def _reconcile_translation(base: dict, update: dict) -> None:
     """A translation_scale in an update supersedes the baked-in vector."""
-    dom = update.get("domain")
-    if isinstance(dom, dict):
+    dom, base_dom = update.get("domain"), base.get("domain")
+    if isinstance(dom, dict) and isinstance(base_dom, dict):
         if "translation_scale" in dom:
-            base.get("domain", {}).pop("shift_translation", None)
+            base_dom.pop("shift_translation", None)
         elif "shift_translation" in dom:
-            base.get("domain", {}).pop("translation_scale", None)
+            base_dom.pop("translation_scale", None)
 
 
 def _merge(base: dict, update: dict) -> dict:

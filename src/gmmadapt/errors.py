@@ -1,4 +1,9 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one rule by which
+every reader checks a JSON document read back."""
+import dataclasses
+import functools
+import reprlib
+import typing
 
 
 class GmmAdaptError(Exception):
@@ -61,3 +66,35 @@ class NumericalFailure(GmmAdaptError, RuntimeError):
         super().__init__(f"batch {batch_index}: {cause}")
         self.batch_index = batch_index
         self.cause = cause
+
+
+def check_type(value, typ: type, nullable: bool, name: str, error: type[GmmAdaptError]) -> None:
+    """Raise error unless value is a typ: an int is a non-bool int, a float
+    any non-bool number, and a nullable key also takes null (None). A large
+    value is shortened in the message."""
+    if not (value is None and nullable
+            or isinstance(value, (int, float) if typ is float else typ)
+            and (typ is bool or not isinstance(value, bool))):
+        null = " or null" if nullable else ""
+        raise error(f"{name} must be {typ.__name__}{null}, got {reprlib.repr(value)}")
+
+
+def check_keys(doc, keys, what: str, error: type[GmmAdaptError]) -> None:
+    """Raise error unless doc is a JSON object with exactly the given keys;
+    anything other than an object counts as having no keys."""
+    got, want = set(doc) if isinstance(doc, dict) else set(), set(keys)
+    if got != want:
+        raise error(f"{what} keys: missing {sorted(want - got)}, unexpected {sorted(got - want)}")
+
+
+@functools.cache
+def declared_types(cls) -> dict[str, tuple[type, bool]]:
+    """(type, nullable) of each field of a dataclass, by name: a `T | None`
+    field has type T and is nullable."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        typ = [a for a in args if a is not type(None)]
+        out[f.name] = (typ[0], True) if len(typ) < len(args) else (hints[f.name], False)
+    return out

@@ -37,7 +37,8 @@ import json
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput
+from .errors import (DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput,
+                     check_keys, check_type)
 
 SNAPSHOT_VERSION = 1
 
@@ -221,44 +222,33 @@ class GaussianMixtureStream:
             doc = json.loads(blob)
         except json.JSONDecodeError as err:
             raise MalformedFile(f"snapshot is not JSON: {err}") from err
-        if type(doc) is not dict:
-            raise MalformedFile(f"snapshot must be a JSON object, got {type(doc).__name__}")
-        if doc.get("format_version") != SNAPSHOT_VERSION:
-            raise MalformedFile(f"unsupported snapshot version {doc.get('format_version')!r}")
-        _reject_unknown_fields(doc, _SNAPSHOT_FIELDS, "snapshot")
-        try:
-            for key, types, least in _HEADER_FIELDS:
-                value = doc[key]
-                if type(value) not in types or not least <= value < np.inf:
-                    raise MalformedFile(
-                        f"snapshot {key} must be a finite number >= {least} "
-                        f"({' or '.join(t.__name__ for t in types)}), got {value!r}"
-                    )
-            n_classes, dim, modes = doc["n_classes"], doc["dim"], doc["modes"]
-            if type(modes) is not list or any(type(entry) is not dict for entry in modes):
-                raise MalformedFile("snapshot modes must be a list of objects")
+        check_keys(doc, _SNAPSHOT_FIELDS, "snapshot", MalformedFile)
+        if doc["format_version"] != SNAPSHOT_VERSION:
+            raise MalformedFile(f"unsupported snapshot version {doc['format_version']!r}")
+        for key, typ, least in _HEADER_FIELDS:
+            check_type(doc[key], typ, False, f"snapshot {key}", MalformedFile)
+            if not least <= doc[key] < np.inf:
+                raise MalformedFile(f"snapshot {key} must be finite and >= {least}, "
+                                    f"got {doc[key]!r}")
+        n_classes, dim, modes = doc["n_classes"], doc["dim"], doc["modes"]
+        check_type(modes, list, False, "snapshot modes", MalformedFile)
+        for c, entry in enumerate(modes):
+            check_keys(entry, _MODE_FIELDS, f"snapshot mode {c}", MalformedFile)
+        if len(modes) != n_classes:
+            raise DimensionMismatch(f"{len(modes)} modes for {n_classes} classes")
+        for key, size in (("mean", dim), ("cov_packed", linalg.packed_size(dim))):
             for c, entry in enumerate(modes):
-                _reject_unknown_fields(entry, _MODE_FIELDS, f"snapshot mode {c}")
-            if len(modes) != n_classes:
-                raise DimensionMismatch(f"{len(modes)} modes for {n_classes} classes")
-            for key, size in (("mean", dim), ("cov_packed", linalg.packed_size(dim))):
-                for c, entry in enumerate(modes):
-                    if type(entry[key]) is not list:
-                        raise MalformedFile(f"mode {c}: {key} must be a list of numbers")
-                    if len(entry[key]) != size:
-                        raise DimensionMismatch(
-                            f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
-                        )
-            state = cls(n_classes, dim, doc["jitter"])
-            state.batch_counter = doc["batch_counter"]
-            state.mass = _number_array([entry["weight"] for entry in modes], "weight",
-                                       nested=False)
-            state.means = _number_array([entry["mean"] for entry in modes], "mean",
-                                        nested=True)
-            state.cov_packed = _number_array([entry["cov_packed"] for entry in modes],
-                                             "cov_packed", nested=True)
-        except KeyError as err:
-            raise MalformedFile(f"snapshot lacks the field {err}") from err
+                check_type(entry[key], list, False, f"snapshot mode {c} {key}", MalformedFile)
+                if len(entry[key]) != size:
+                    raise DimensionMismatch(
+                        f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
+                    )
+        state = cls(n_classes, dim, doc["jitter"])
+        state.batch_counter = doc["batch_counter"]
+        state.mass = _number_array([entry["weight"] for entry in modes], "weight", nested=False)
+        state.means = _number_array([entry["mean"] for entry in modes], "mean", nested=True)
+        state.cov_packed = _number_array([entry["cov_packed"] for entry in modes], "cov_packed",
+                                         nested=True)
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
             raise NonFiniteInput("mode weights must be finite and nonnegative")
         if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):
@@ -270,20 +260,14 @@ class GaussianMixtureStream:
 _SNAPSHOT_FIELDS = ("format_version", "n_classes", "dim", "jitter", "batch_counter", "modes")
 _MODE_FIELDS = ("weight", "mean", "cov_packed")
 
-# Snapshot header fields: (key, accepted JSON value types, least value).
-# bool is not accepted where int is: type(True) is bool, not int.
+# Snapshot header fields: (key, type, least value).
 _HEADER_FIELDS = (
-    ("n_classes", (int,), 1),
-    ("dim", (int,), 1),
-    ("jitter", (int, float), 0),
-    ("batch_counter", (int,), 0),
+    ("format_version", int, 1),
+    ("n_classes", int, 1),
+    ("dim", int, 1),
+    ("jitter", float, 0),
+    ("batch_counter", int, 0),
 )
-
-
-def _reject_unknown_fields(doc: dict, fields: tuple[str, ...], where: str) -> None:
-    unknown = sorted(doc.keys() - set(fields))
-    if unknown:
-        raise MalformedFile(f"{where} has the unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def _number_array(rows: list, key: str, nested: bool) -> np.ndarray:

@@ -15,12 +15,12 @@ tau_k,tau_u,loss_c,loss_kld.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch, MalformedFile
+from .errors import LengthMismatch, MalformedFile, check_keys, check_type, declared_types
 from .linalg import packed_size
 from .ood_gate import DISCARDED
 
@@ -125,30 +125,13 @@ class RunRecord:
     def from_json_obj(cls, obj: dict) -> "RunRecord":
         """Inverse of to_json_obj; MalformedFile unless the keys are exactly
         its keys and each value has its field's type."""
-        _require_keys(obj, CSV_COLUMNS + ("counts",), "record")
-        _require_keys(obj["counts"], [f.name for f in fields(BatchCounts)], "counts")
-        _require_types(obj, cls, "record")
-        _require_types(obj["counts"], BatchCounts, "counts")
+        check_keys(obj, declared_types(cls), "record", MalformedFile)
+        check_keys(obj["counts"], declared_types(BatchCounts), "counts", MalformedFile)
+        for what, doc, kind in (("record", obj, cls), ("counts", obj["counts"], BatchCounts)):
+            for key, (typ, nullable) in declared_types(kind).items():
+                if typ is not BatchCounts:
+                    check_type(doc[key], typ, nullable, f"{what} {key}", MalformedFile)
         return cls(**{k: obj[k] for k in CSV_COLUMNS}, counts=BatchCounts(**obj["counts"]))
-
-
-def _require_keys(obj, keys, what: str) -> None:
-    got, want = set(obj) if isinstance(obj, dict) else set(), set(keys)
-    if got != want:
-        raise MalformedFile(f"{what} keys: missing {sorted(want - got)}, "
-                            f"unexpected {sorted(got - want)}")
-
-
-# JSON value types a field accepts, by its annotation: an int field a
-# non-bool int, a float field any number, an optional field null as well.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "float | None": (int, float, type(None)),
-               "BatchCounts": (dict,)}
-
-
-def _require_types(obj: dict, cls, what: str) -> None:
-    for f in fields(cls):
-        if type(obj[f.name]) not in _JSON_TYPES[f.type]:
-            raise MalformedFile(f"{what} {f.name} must be {f.type}, got {obj[f.name]!r}")
 
 
 def score_batch(

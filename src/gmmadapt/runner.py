@@ -30,7 +30,7 @@ from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, memory_report, score_batch, summarize
 from .objectives import contrastive_loss, kld_loss
 from .ood_gate import ThresholdState, normalized_entropy_rows
-from .simulator import SHIFT_KINDS, SourceSet, TargetStream, make_task
+from .simulator import SourceSet, TargetStream, make_task
 from .toy_model import OptimizerConfig, ToyModel, accuracy, augment, train_source
 
 ENV_OUTPUT_ROOT = "GMMADAPT_RUNS"
@@ -249,26 +249,11 @@ def replay(run_dir: Path) -> dict:
     run_dir = Path(run_dir)
     path = run_dir / "config.resolved.json"
     try:
-        resolved = json.loads(path.read_text())
-    except json.JSONDecodeError as err:
+        cfg = RunConfig.from_dict(json.loads(path.read_text()))
+    except (json.JSONDecodeError, ConfigError) as err:
         raise MalformedFile(f"{path}: {err}") from err
-    kind = _stored_value(resolved, ("shift", "kind"), lambda v: v in SHIFT_KINDS, path)
-    n_init = _stored_value(resolved, ("n_init",), lambda v: type(v) is int and v >= 1, path)
     records = metrics.read_jsonl(run_dir / "metrics.jsonl")
-    return summarize(records, kind, n_init)
-
-
-def _stored_value(doc, path: tuple[str, ...], valid, file: Path):
-    """The value at path in a stored JSON document; MalformedFile naming
-    the key when it is missing or not valid."""
-    value = doc
-    for key in path:
-        if not isinstance(value, dict) or key not in value:
-            raise MalformedFile(f"{file}: {'.'.join(path)} is missing")
-        value = value[key]
-    if not valid(value):
-        raise MalformedFile(f"{file}: {'.'.join(path)} has the wrong value {value!r}")
-    return value
+    return summarize(records, cfg.shift.kind, cfg.n_init)
 
 
 def run_sweep(

@@ -24,10 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedFile, NonFiniteGradient, NonFiniteInput
+from .errors import (DimensionMismatch, MalformedFile, NonFiniteGradient, NonFiniteInput,
+                     check_keys, check_type)
 
 PARAM_NAMES = ("W_g", "b_g", "W_r", "b_r", "W_h", "b_h")
 CHECKPOINT_VERSION = 1
+
+# The int keys of a checkpoint's metadata, in the order written, and their least values.
+_META_LEAST = {"format_version": 1, "d_in": 1, "fd": 1, "fd_r": 1, "n_classes": 1, "seed": 0}
 
 
 @dataclass
@@ -141,12 +145,14 @@ class ToyModel:
         """v <- momentum*v + grad; param <- param - lr*v (standard momentum).
 
         A parameter missing from grads has a zero gradient: its velocity
-        decays and is applied, and nothing is added to it.
+        decays and is applied, and nothing is added to it. Every gradient
+        is checked first, so a non-finite one leaves the model unchanged.
         """
         for name in PARAM_NAMES:
-            g = grads.get(name)
-            if g is not None and not np.all(np.isfinite(g)):
+            if name in grads and not np.all(np.isfinite(grads[name])):
                 raise NonFiniteGradient(f"gradient for {name} is not finite")
+        for name in PARAM_NAMES:
+            g = grads.get(name)
             v = self.velocity[name]
             v *= cfg.momentum
             if g is not None:
@@ -173,19 +179,25 @@ class ToyModel:
     @classmethod
     def load(cls, path) -> "ToyModel":
         """Read a checkpoint written by save: MalformedFile for any other
-        file, DimensionMismatch for an array its metadata does not fit.
+        file or for metadata other than the written keys with int values
+        in range, DimensionMismatch for an array its metadata does not fit.
         """
         names = [f"{prefix}_{k}" for k in PARAM_NAMES for prefix in ("param", "vel")]
+        what = f"{path} is not a model checkpoint: meta"
         try:
             with np.load(path, allow_pickle=False) as data:
                 meta = json.loads(str(data["meta"]))
                 arrays = {name: data[name] for name in names}
-            shape = [meta[key] for key in ("d_in", "fd", "fd_r", "n_classes", "seed")]
-        except (zipfile.BadZipFile, EOFError, KeyError, TypeError, ValueError) as err:
+        except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as err:
             raise MalformedFile(f"{path} is not a model checkpoint: {err!r}") from err
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise MalformedFile(f"unsupported checkpoint version {meta.get('format_version')!r}")
-        model = cls(*shape)
+        check_keys(meta, _META_LEAST, what, MalformedFile)
+        if meta["format_version"] != CHECKPOINT_VERSION:
+            raise MalformedFile(f"unsupported checkpoint version {meta['format_version']!r}")
+        for key, least in _META_LEAST.items():
+            check_type(meta[key], int, False, f"{what} {key}", MalformedFile)
+            if meta[key] < least:
+                raise MalformedFile(f"{what} {key} must be >= {least}, got {meta[key]!r}")
+        model = cls(*(meta[key] for key in ("d_in", "fd", "fd_r", "n_classes", "seed")))
         for k in PARAM_NAMES:
             for prefix, store in (("param", model.params), ("vel", model.velocity)):
                 array = arrays[f"{prefix}_{k}"]

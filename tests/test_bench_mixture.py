@@ -1,8 +1,10 @@
-"""Microbenchmarks of one mixture step: update plus likelihood_vectors.
+"""Microbenchmarks of one mixture step, update plus likelihood_vectors, and
+of loading a mixture snapshot.
 
-At d = 64 (the default fd_r) for C = 9 (the default run), 65 and 345 (the
-scale of the paper's memory table). Each makes three timed rounds on a
-fresh copy of a warmed-up mixture, so the suite stays fast. Run them
+The step at d = 64 (the default fd_r) for C = 9 (the default run), 65 and
+345 (the scale of the paper's memory table); the snapshot load at C = 345.
+Each makes three timed rounds (the step on a fresh copy of a warmed-up
+mixture), so the suite stays fast. Run them
 alone with
 
     python -m pytest tests/test_bench_mixture.py --benchmark-only
@@ -36,3 +38,16 @@ def test_update_and_likelihoods(benchmark, n_classes):
                              rounds=3, warmup_rounds=1)
     assert lik.shape == (N_B, n_classes)
     np.testing.assert_allclose(lik.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_snapshot_load(benchmark):
+    """from_snapshot of a 345-class mixture, the load mixture-c345 times."""
+    n_classes = 345
+    rng = np.random.default_rng(n_classes)
+    gmm = GaussianMixtureStream(n_classes, DIM, jitter=2e-2)
+    gmm.update(rng.standard_normal((N_B, DIM)), rng.dirichlet(np.ones(n_classes), size=N_B))
+    blob = gmm.to_snapshot()
+    back = benchmark.pedantic(GaussianMixtureStream.from_snapshot, args=(blob,),
+                              rounds=3, warmup_rounds=1)
+    for name in ("means", "cov_packed", "mass"):
+        assert getattr(back, name).tobytes() == getattr(gmm, name).tobytes()

@@ -261,6 +261,16 @@ class TestAdaptCommand:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [[1, 2], "x"], ids=["list", "string"])
+    def test_non_object_config_is_config_error(self, tmp_path, capsys, doc):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config {config} must be dict, got {doc!r}\n"
+        assert not out.exists()
+
     def test_env_var_output_root(self, tmp_path, small_config, monkeypatch):
         monkeypatch.setenv("GMMADAPT_RUNS", str(tmp_path / "root"))
         assert main(["adapt", "--config", str(small_config)]) == 0
@@ -338,7 +348,8 @@ class TestMalformedRunFiles:
         (lambda obj: obj["counts"].update(n_total="16"), "counts n_total must be int, got '16'"),
         (lambda obj: obj["counts"].update(n_known=True), "counts n_known must be int, got True"),
         (lambda obj: obj["counts"].update(n_adapted=3.0), "n_adapted must be int, got 3.0"),
-        (lambda obj: obj.update(h_score="0.5"), "h_score must be float | None, got '0.5'"),
+        (lambda obj: obj.update(h_score="0.5"),
+         "record h_score must be float or null, got '0.5'"),
         (lambda obj: obj.update(tau_k=None), "record tau_k must be float, got None"),
         (lambda obj: obj.update(batch=[5]), "record batch must be int, got [5]"),
     ], ids=["count_missing", "count_extra", "tau_k_missing", "count_str", "count_bool",
@@ -352,12 +363,15 @@ class TestMalformedRunFiles:
 
 
     @pytest.mark.parametrize("edit,fragment", [
-        (lambda doc: doc.pop("n_init"), "n_init is missing"),
-        (lambda doc: doc.update(n_init="30"), "n_init has the wrong value '30'"),
-        (lambda doc: doc.update(n_init=True), "n_init has the wrong value True"),
-        (lambda doc: doc["shift"].pop("kind"), "shift.kind is missing"),
-        (lambda doc: doc["shift"].update(kind="opda"), "shift.kind has the wrong value 'opda'"),
-        (lambda doc: doc.update(shift=None), "shift.kind is missing"),
+        (lambda doc: doc.pop("n_init"), "config keys: missing ['n_init'], unexpected []"),
+        (lambda doc: doc.update(n_init="30"), "n_init must be int, got '30'"),
+        (lambda doc: doc.update(n_init=True), "n_init must be int, got True"),
+        (lambda doc: doc["shift"].pop("kind"), "shift keys: missing ['kind'], unexpected []"),
+        (lambda doc: doc["shift"].update(kind="opda"),
+         "kind must be one of ('PDA', 'ODA', 'OPDA'), got 'opda'"),
+        (lambda doc: doc.update(shift=None),
+         "shift keys: missing ['kind', 'n_shared', 'n_source_private', 'n_target_private'], "
+         "unexpected []"),
     ], ids=["n_init_missing", "n_init_str", "n_init_bool", "kind_missing", "kind_unknown",
             "shift_null"])
     def test_replay_of_edited_config(self, tmp_path, small_run, capsys, edit, fragment):

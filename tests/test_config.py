@@ -64,6 +64,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    def test_non_object_section_rejected_under_a_flag(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"domain": 5}))
+        with pytest.raises(ConfigError, match=r"^domain keys: missing \['class_sep', "):
+            load_config(str(path), {"domain": {"translation_scale": 1.0}})
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text("{not json")

@@ -1,0 +1,111 @@
+"""Every reader of a JSON document the library writes back rejects the same
+faults in the same words.
+
+Each reader is fed a valid document, and then the document with one fault:
+not an object at the top level, a key missing, a key added, a bool in an
+int key, a string in a float key. Each fault must raise a GmmAdaptError
+whose message ends in the shared shape: "<what> keys: missing [...],
+unexpected [...]" or "<name> must be <type>[ or null], got <value>".
+"""
+import json
+import re
+
+import numpy as np
+import pytest
+
+from gmmadapt.config import RunConfig, default_config, load_config
+from gmmadapt.errors import GmmAdaptError
+from gmmadapt.gmm_stream import GaussianMixtureStream
+from gmmadapt.metrics import RunRecord, read_jsonl
+from gmmadapt.runner import replay
+from gmmadapt.toy_model import ToyModel
+
+
+def _record_obj() -> dict:
+    return RunRecord(batch=1, acc_known=0.5, acc_unknown=None, h_score=None, adapt_ratio=0.5,
+                     pl_precision_known=None, tau_k=0.3, tau_u=0.6, loss_c=0.0,
+                     loss_kld=0.0).to_json_obj()
+
+
+def _feed_config_file(doc, tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    return load_config(str(path))
+
+
+def _feed_metrics(doc, tmp_path):
+    path = tmp_path / "metrics.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    return read_jsonl(path)
+
+
+def _feed_model_meta(doc, tmp_path):
+    path = tmp_path / "model.ckpt"
+    model = ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13)
+    arrays = {f"{prefix}_{k}": v for prefix, store in (("param", model.params),
+                                                      ("vel", model.velocity))
+              for k, v in store.items()}
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=json.dumps(doc), **arrays)
+    return ToyModel.load(path)
+
+
+def _feed_resolved_config(doc, tmp_path):
+    (tmp_path / "config.resolved.json").write_text(json.dumps(doc))
+    _feed_metrics(_record_obj(), tmp_path)
+    return replay(tmp_path)
+
+
+# name: (valid document, feed(doc, tmp_path), a required key, an int key, a
+# float key). A config file is merged over the defaults, so it has no
+# required key; a checkpoint's metadata has no float key.
+READERS = {
+    "load_config": (lambda: {"seed": 1}, _feed_config_file, None, "n_b", "p_reject"),
+    "from_dict": (lambda: default_config().to_dict(), lambda doc, _: RunConfig.from_dict(doc),
+                  "n_init", "seed", "p_reject"),
+    "read_jsonl": (_record_obj, _feed_metrics, "tau_k", "batch", "tau_k"),
+    "from_snapshot": (lambda: json.loads(GaussianMixtureStream(2, 2).to_snapshot()),
+                      lambda doc, _: GaussianMixtureStream.from_snapshot(json.dumps(doc)),
+                      "dim", "n_classes", "jitter"),
+    "ToyModel.load": (lambda: {"format_version": 1, "d_in": 3, "fd": 4, "fd_r": 2,
+                               "n_classes": 3, "seed": 13},
+                      _feed_model_meta, "d_in", "fd", None),
+    "replay": (lambda: default_config().resolved_dict(), _feed_resolved_config,
+               "n_init", "n_init", "p_reject"),
+}
+
+
+def _faults(required, int_key, float_key):
+    """(fault id, the faulty document made from a valid one, regex the
+    message must end with)."""
+    if required is not None:
+        yield ("missing", lambda doc: {k: v for k, v in doc.items() if k != required},
+               re.escape(f"keys: missing ['{required}'], unexpected []"))
+    yield "not_object", lambda doc: [1, 2], (r"keys: missing \[.+\], unexpected \[\]"
+                                             r"|must be dict, got \[1, 2\]")
+    yield ("unknown", lambda doc: dict(doc, stray=1),
+           re.escape("keys: missing [], unexpected ['stray']"))
+    yield ("bool_in_int", lambda doc: dict(doc, **{int_key: True}),
+           rf"\b{int_key} must be int, got True")
+    if float_key is not None:
+        yield ("str_in_float", lambda doc: dict(doc, **{float_key: "0.5"}),
+               rf"\b{float_key} must be float( or null)?, got '0.5'")
+
+
+CASES = [pytest.param(name, fault, pattern, id=f"{name}-{fault_id}")
+         for name, (_, _, *keys) in READERS.items()
+         for fault_id, fault, pattern in _faults(*keys)]
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_reader_accepts_a_valid_document(tmp_path, name):
+    make, feed = READERS[name][:2]
+    feed(make(), tmp_path)
+
+
+@pytest.mark.parametrize("name,fault,pattern", CASES)
+def test_reader_rejects_fault_in_shared_words(tmp_path, name, fault, pattern):
+    make, feed = READERS[name][:2]
+    with pytest.raises(GmmAdaptError) as info:
+        feed(fault(make()), tmp_path)
+    assert re.search(f"(?:{pattern})$", str(info.value)), str(info.value)

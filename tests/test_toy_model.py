@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -218,6 +219,19 @@ class TestSgdStep:
         with pytest.raises(NonFiniteGradient):
             model.sgd_step(grads, OptimizerConfig(0.1, 0.0))
 
+    def test_non_finite_gradient_leaves_model_unchanged(self):
+        model = ToyModel(d_in=2, fd=3, fd_r=2, n_classes=3, seed=4)
+        cfg = OptimizerConfig(learning_rate=0.1, momentum=0.9)
+        model.sgd_step({k: np.ones_like(v) for k, v in model.params.items()}, cfg)
+        before = model.copy()
+        grads = {k: np.ones_like(v) for k, v in model.params.items()}
+        grads["b_h"][-1] = np.nan  # b_h is checked last
+        with pytest.raises(NonFiniteGradient, match="b_h"):
+            model.sgd_step(grads, cfg)
+        for k in PARAM_NAMES:
+            assert model.params[k].tobytes() == before.params[k].tobytes()
+            assert model.velocity[k].tobytes() == before.velocity[k].tobytes()
+
 
 class TestTrainSource:
     def test_separable_blobs_high_accuracy(self):
@@ -395,6 +409,26 @@ class TestCheckpoint:
             arrays = {k: data[k] for k in data.files}
         path.write_bytes(damage(path.read_bytes(), arrays))
         with pytest.raises(MalformedFile, match="model.ckpt is not a model checkpoint"):
+            ToyModel.load(path)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda meta: meta.update(d_in=None), "meta d_in must be int, got None"),
+        (lambda meta: meta.update(d_in="20"), "meta d_in must be int, got '20'"),
+        (lambda meta: meta.update(fd=2.5), "meta fd must be int, got 2.5"),
+        (lambda meta: meta.update(n_classes=0), "meta n_classes must be >= 1, got 0"),
+        (lambda meta: meta.update(seed=-1), "meta seed must be >= 0, got -1"),
+    ], ids=["d_in_null", "d_in_str", "fd_float", "n_classes_zero", "seed_negative"])
+    def test_bad_metadata_is_malformed(self, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        edit(meta)
+        arrays["meta"] = np.array(json.dumps(meta))
+        path.write_bytes(_npz_bytes(arrays))
+        with pytest.raises(MalformedFile, match=re.escape(f"{path} is not a model checkpoint: "
+                                                          f"{message}") + "$"):
             ToyModel.load(path)
 
     def test_unknown_version_is_malformed(self, tmp_path):
