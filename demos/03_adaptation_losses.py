@@ -7,7 +7,7 @@ ones. Both gradients are analytic; a finite-difference probe confirms.
 """
 import numpy as np
 
-from gmmadapt import DISCARDED, contrastive_loss, kld_loss, combined_loss
+from gmmadapt import DISCARDED, contrastive_loss, kld_loss
 from gmmadapt.toy_model import softmax
 
 rng = np.random.default_rng(2)
@@ -25,7 +25,8 @@ logits = rng.standard_normal((n, n_classes)) * 2
 loss_k, grad_k = kld_loss(softmax(logits), labels[:n], n_classes)
 print(f"kld loss {loss_k:.4f} (known terms negative, unknown positive)")
 
-print(f"combined with lambda=1: {combined_loss(loss_c, loss_k, 1.0):.4f}")
+lam = 1.0
+print(f"combined L_C + lambda * L_KLD with lambda={lam}: {loss_c + lam * loss_k:.4f}")
 
 # finite-difference probe on one feature coordinate
 h = 1e-6

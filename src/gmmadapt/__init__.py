@@ -8,7 +8,7 @@ synthetic feature-stream simulator.
 from .config import RunConfig, default_config, load_config
 from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, h_score, memory_report, score_batch
-from .objectives import combined_loss, contrastive_loss, kld_loss
+from .objectives import contrastive_loss, kld_loss
 from .ood_gate import DISCARDED, ThresholdState, normalized_entropy_rows
 from .runner import adapt_stream, build_task, replay, run_adapt, run_memory, run_sweep
 from .simulator import DomainSpec, ShiftSpec, StreamBatch, TargetStream, make_task
@@ -33,7 +33,6 @@ __all__ = [
     "adapt_stream",
     "augment",
     "build_task",
-    "combined_loss",
     "contrastive_loss",
     "default_config",
     "h_score",

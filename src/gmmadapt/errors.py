@@ -2,6 +2,7 @@
 every reader checks a JSON document read back."""
 import dataclasses
 import functools
+import math
 import reprlib
 import typing
 
@@ -77,6 +78,20 @@ def check_type(value, typ: type, nullable: bool, name: str, error: type[GmmAdapt
             and (typ is bool or not isinstance(value, bool))):
         null = " or null" if nullable else ""
         raise error(f"{name} must be {typ.__name__}{null}, got {reprlib.repr(value)}")
+
+
+def check_number(value, typ: type, least, name: str, error: type[GmmAdaptError]) -> None:
+    """check_type for a non-null typ, then raise error unless value is
+    finite, which an int too large for a float is not, and >= least."""
+    check_type(value, typ, False, name, error)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise error(f"{name} must be finite, got {reprlib.repr(value)}")
+    if value < least:
+        raise error(f"{name} must be >= {least}, got {reprlib.repr(value)}")
 
 
 def check_keys(doc, keys, what: str, error: type[GmmAdaptError]) -> None:

@@ -38,9 +38,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput,
-                     check_keys, check_type)
-
-SNAPSHOT_VERSION = 1
+                     check_keys, check_number, check_type)
 
 # Classes per stacked scatter or Cholesky, chosen by measurement so that
 # a block's work arrays stay in a core's L2 cache. Each (BLOCK, n, d) or
@@ -71,6 +69,8 @@ class GaussianMixtureStream:
     batches by design); instances are plain values that may be copied or
     moved between threads, but concurrent mutation is unsupported.
     """
+
+    format_version = 1  # of the snapshot layout
 
     def __init__(self, n_classes: int, dim: int, jitter: float = 1e-6):
         if n_classes < 1:
@@ -187,23 +187,12 @@ class GaussianMixtureStream:
         return self.means.size + self.cov_packed.size + self.mass.size
 
     # -- snapshot serialization ------------------------------------------
-    # JSON object, field order fixed: format_version, n_classes, dim,
-    # jitter, batch_counter, modes. Each mode: weight, mean, cov_packed.
+    # One JSON object, laid out by _HEADER and _MODE below.
 
     def to_snapshot(self) -> str:
-        doc = {
-            "format_version": SNAPSHOT_VERSION,
-            "n_classes": self.n_classes,
-            "dim": self.dim,
-            "jitter": self.jitter,
-            "batch_counter": self.batch_counter,
-            "modes": [
-                {"weight": weight, "mean": mean, "cov_packed": cov}
-                for weight, mean, cov in zip(
-                    self.mass.tolist(), self.means.tolist(), self.cov_packed.tolist()
-                )
-            ],
-        }
+        doc = {key: getattr(self, key) for key in _HEADER}
+        rows = zip(*(getattr(self, array).tolist() for array in _MODE.values()))
+        doc["modes"] = [dict(zip(_MODE, row)) for row in rows]
         return json.dumps(doc)
 
     @classmethod
@@ -222,21 +211,19 @@ class GaussianMixtureStream:
             doc = json.loads(blob)
         except json.JSONDecodeError as err:
             raise MalformedFile(f"snapshot is not JSON: {err}") from err
-        check_keys(doc, _SNAPSHOT_FIELDS, "snapshot", MalformedFile)
-        if doc["format_version"] != SNAPSHOT_VERSION:
+        check_keys(doc, [*_HEADER, "modes"], "snapshot", MalformedFile)
+        if doc["format_version"] != cls.format_version:
             raise MalformedFile(f"unsupported snapshot version {doc['format_version']!r}")
-        for key, typ, least in _HEADER_FIELDS:
-            check_type(doc[key], typ, False, f"snapshot {key}", MalformedFile)
-            if not least <= doc[key] < np.inf:
-                raise MalformedFile(f"snapshot {key} must be finite and >= {least}, "
-                                    f"got {doc[key]!r}")
+        for key, (typ, least) in _HEADER.items():
+            check_number(doc[key], typ, least, f"snapshot {key}", MalformedFile)
         n_classes, dim, modes = doc["n_classes"], doc["dim"], doc["modes"]
         check_type(modes, list, False, "snapshot modes", MalformedFile)
         for c, entry in enumerate(modes):
-            check_keys(entry, _MODE_FIELDS, f"snapshot mode {c}", MalformedFile)
+            check_keys(entry, _MODE, f"snapshot mode {c}", MalformedFile)
         if len(modes) != n_classes:
             raise DimensionMismatch(f"{len(modes)} modes for {n_classes} classes")
-        for key, size in (("mean", dim), ("cov_packed", linalg.packed_size(dim))):
+        sizes = {"mean": dim, "cov_packed": linalg.packed_size(dim)}
+        for key, size in sizes.items():
             for c, entry in enumerate(modes):
                 check_type(entry[key], list, False, f"snapshot mode {c} {key}", MalformedFile)
                 if len(entry[key]) != size:
@@ -245,10 +232,9 @@ class GaussianMixtureStream:
                     )
         state = cls(n_classes, dim, doc["jitter"])
         state.batch_counter = doc["batch_counter"]
-        state.mass = _number_array([entry["weight"] for entry in modes], "weight", nested=False)
-        state.means = _number_array([entry["mean"] for entry in modes], "mean", nested=True)
-        state.cov_packed = _number_array([entry["cov_packed"] for entry in modes], "cov_packed",
-                                         nested=True)
+        for key, array in _MODE.items():
+            rows = [entry[key] for entry in modes]
+            setattr(state, array, _number_array(rows, key, nested=key in sizes))
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
             raise NonFiniteInput("mode weights must be finite and nonnegative")
         if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):
@@ -256,18 +242,12 @@ class GaussianMixtureStream:
         return state
 
 
-# The keys of a snapshot and of each of its modes, in the order written.
-_SNAPSHOT_FIELDS = ("format_version", "n_classes", "dim", "jitter", "batch_counter", "modes")
-_MODE_FIELDS = ("weight", "mean", "cov_packed")
-
-# Snapshot header fields: (key, type, least value).
-_HEADER_FIELDS = (
-    ("format_version", int, 1),
-    ("n_classes", int, 1),
-    ("dim", int, 1),
-    ("jitter", float, 0),
-    ("batch_counter", int, 0),
-)
+# gmm.ckpt's layout, in the order written: each header key with its type
+# and least value, then "modes", one object per class whose keys name the
+# state array that the class's row comes from.
+_HEADER = {"format_version": (int, 1), "n_classes": (int, 1), "dim": (int, 1),
+           "jitter": (float, 0), "batch_counter": (int, 0)}
+_MODE = {"weight": "mass", "mean": "means", "cov_packed": "cov_packed"}
 
 
 def _number_array(rows: list, key: str, nested: bool) -> np.ndarray:

@@ -8,14 +8,13 @@ zeros, so averages are not poisoned.
 
 Records are emitted as JSONL (one object per batch, stable key order; each
 row carries a counts sub-object so summaries can be recomputed exactly
-from the file alone) and as a CSV mirror with the fixed column order
-batch,acc_known,acc_unknown,h_score,adapt_ratio,pl_precision_known,
-tau_k,tau_u,loss_c,loss_kld.
+from the file alone) and as a CSV mirror whose columns are RunRecord's
+fields, in order, but the counts.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +22,6 @@ import numpy as np
 from .errors import LengthMismatch, MalformedFile, check_keys, check_type, declared_types
 from .linalg import packed_size
 from .ood_gate import DISCARDED
-
-CSV_COLUMNS = (
-    "batch",
-    "acc_known",
-    "acc_unknown",
-    "h_score",
-    "adapt_ratio",
-    "pl_precision_known",
-    "tau_k",
-    "tau_u",
-    "loss_c",
-    "loss_kld",
-)
 
 
 def h_score(acc_known: float, acc_unknown: float) -> float:
@@ -132,6 +118,10 @@ class RunRecord:
                 if typ is not BatchCounts:
                     check_type(doc[key], typ, nullable, f"{what} {key}", MalformedFile)
         return cls(**{k: obj[k] for k in CSV_COLUMNS}, counts=BatchCounts(**obj["counts"]))
+
+
+# metrics.csv's columns: RunRecord's fields, in order, but the counts.
+CSV_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name != "counts")
 
 
 def score_batch(

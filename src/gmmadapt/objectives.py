@@ -178,15 +178,3 @@ def kld_loss(
     active_mass = u * unclipped.sum(axis=1, keepdims=True)
     d_logits = sign[:, None] * (-u * unclipped + probs * active_mass)
     return loss, d_logits
-
-
-def combined_loss(loss_c: float, loss_kld: float, lam: float) -> float:
-    """Total adaptation loss L_C + lambda * L_KLD.
-
-    Gradients combine with the same weights: the contrastive feature
-    gradient enters the backward pass unscaled, the KL logit gradient
-    scaled by lambda.
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    return loss_c + lam * loss_kld

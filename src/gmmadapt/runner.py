@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +321,8 @@ def run_sweep(
     return rows
 
 
-MEMORY_COLUMNS = ("n_classes", "n_gmm", "n_queue", "n_teacher", "ratio_queue", "ratio_teacher")
+# The memory table's columns: the class count, then MemoryReport's fields.
+MEMORY_COLUMNS = ("n_classes", *(f.name for f in fields(metrics.MemoryReport)))
 
 
 def run_memory(inputs: MemoryModelInputs, class_lo: int, class_hi: int) -> list[dict]:

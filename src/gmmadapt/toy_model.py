@@ -25,13 +25,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, MalformedFile, NonFiniteGradient, NonFiniteInput,
-                     check_keys, check_type)
+                     check_keys, check_number)
 
-PARAM_NAMES = ("W_g", "b_g", "W_r", "b_r", "W_h", "b_h")
-CHECKPOINT_VERSION = 1
-
-# The int keys of a checkpoint's metadata, in the order written, and their least values.
+# model.ckpt's layout. The metadata: its int keys, in the order written, and
+# their least values. Then each parameter, in init draw order: its shape and
+# the fan-in of its init, in metadata keys; the file holds the parameter as
+# param_<name> and its velocity as vel_<name>.
 _META_LEAST = {"format_version": 1, "d_in": 1, "fd": 1, "fd_r": 1, "n_classes": 1, "seed": 0}
+_PARAMS = {
+    "W_g": (("fd", "d_in"), "d_in"),
+    "b_g": (("fd",), "d_in"),
+    "W_r": (("fd_r", "fd"), "fd"),
+    "b_r": (("fd_r",), "fd"),
+    "W_h": (("n_classes", "fd"), "fd"),
+    "b_h": (("n_classes",), "fd"),
+}
+PARAM_NAMES = tuple(_PARAMS)
 
 
 @dataclass
@@ -66,6 +75,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 class ToyModel:
     """f = h(g(x)) plus the reduction branch r(g(x))."""
 
+    format_version = 1  # of the checkpoint layout
+
     def __init__(self, d_in: int, fd: int, fd_r: int, n_classes: int, seed: int = 0):
         self.d_in = d_in
         self.fd = fd
@@ -73,14 +84,11 @@ class ToyModel:
         self.n_classes = n_classes
         self.seed = seed
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.params = {
-            "W_g": _uniform_init(rng, (fd, d_in), d_in),
-            "b_g": _uniform_init(rng, (fd,), d_in),
-            "W_r": _uniform_init(rng, (fd_r, fd), fd),
-            "b_r": _uniform_init(rng, (fd_r,), fd),
-            "W_h": _uniform_init(rng, (n_classes, fd), fd),
-            "b_h": _uniform_init(rng, (n_classes,), fd),
-        }
+        self.params = {}
+        for name, (shape, fan_in) in _PARAMS.items():
+            bound = 1.0 / np.sqrt(getattr(self, fan_in))
+            size = tuple(getattr(self, dim) for dim in shape)
+            self.params[name] = rng.uniform(-bound, bound, size=size)
         self.velocity = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def copy(self) -> "ToyModel":
@@ -163,14 +171,7 @@ class ToyModel:
     # -- checkpointing ----------------------------------------------------
 
     def save(self, path) -> None:
-        meta = {
-            "format_version": CHECKPOINT_VERSION,
-            "d_in": self.d_in,
-            "fd": self.fd,
-            "fd_r": self.fd_r,
-            "n_classes": self.n_classes,
-            "seed": self.seed,
-        }
+        meta = {key: getattr(self, key) for key in _META_LEAST}
         arrays = {f"param_{k}": v for k, v in self.params.items()}
         arrays.update({f"vel_{k}": v for k, v in self.velocity.items()})
         with open(path, "wb") as fh:  # file handle: savez must not append .npz
@@ -181,6 +182,8 @@ class ToyModel:
         """Read a checkpoint written by save: MalformedFile for any other
         file or for metadata other than the written keys with int values
         in range, DimensionMismatch for an array its metadata does not fit.
+        Every array is checked before the model is built from the file's
+        arrays, so a bad file costs no more memory than its own size.
         """
         names = [f"{prefix}_{k}" for k in PARAM_NAMES for prefix in ("param", "vel")]
         what = f"{path} is not a model checkpoint: meta"
@@ -191,27 +194,23 @@ class ToyModel:
         except (zipfile.BadZipFile, EOFError, KeyError, ValueError) as err:
             raise MalformedFile(f"{path} is not a model checkpoint: {err!r}") from err
         check_keys(meta, _META_LEAST, what, MalformedFile)
-        if meta["format_version"] != CHECKPOINT_VERSION:
+        if meta["format_version"] != cls.format_version:
             raise MalformedFile(f"unsupported checkpoint version {meta['format_version']!r}")
         for key, least in _META_LEAST.items():
-            check_type(meta[key], int, False, f"{what} {key}", MalformedFile)
-            if meta[key] < least:
-                raise MalformedFile(f"{what} {key} must be >= {least}, got {meta[key]!r}")
-        model = cls(*(meta[key] for key in ("d_in", "fd", "fd_r", "n_classes", "seed")))
-        for k in PARAM_NAMES:
-            for prefix, store in (("param", model.params), ("vel", model.velocity)):
-                array = arrays[f"{prefix}_{k}"]
-                if array.shape != store[k].shape:
+            check_number(meta[key], int, least, f"{what} {key}", MalformedFile)
+        for name, (shape, _) in _PARAMS.items():
+            expected = tuple(meta[dim] for dim in shape)
+            for prefix in ("param", "vel"):
+                array = arrays[f"{prefix}_{name}"]
+                if array.shape != expected:
                     raise DimensionMismatch(
-                        f"checkpoint array {prefix}_{k} has shape {array.shape}, "
-                        f"expected {store[k].shape} from its metadata")
-                store[k] = array
+                        f"checkpoint array {prefix}_{name} has shape {array.shape}, "
+                        f"expected {expected} from its metadata")
+        model = cls.__new__(cls)  # not __init__: its seeded init would be thrown away
+        vars(model).update({key: meta[key] for key in _META_LEAST if key != "format_version"})
+        model.params = {k: arrays[f"param_{k}"] for k in PARAM_NAMES}
+        model.velocity = {k: arrays[f"vel_{k}"] for k in PARAM_NAMES}
         return model
-
-
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
 
 
 def cross_entropy_loss(probs: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:

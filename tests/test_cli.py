@@ -11,6 +11,8 @@ import pytest
 
 from gmmadapt.cli import _collect_overrides, build_parser, main
 from gmmadapt.config import load_config
+from gmmadapt.errors import NotPositiveDefinite
+from gmmadapt.gmm_stream import GaussianMixtureStream
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -223,6 +225,25 @@ class TestAdaptCommand:
         code = main(["adapt", "--config", str(small_config), "--out", str(out),
                      "--p-reject", "150"])
         assert code == 2
+        assert not (out / "summary.json").exists()
+
+    def test_numerical_failure_exits_3_naming_the_batch(self, tmp_path, small_config, capsys,
+                                                         monkeypatch):
+        original = GaussianMixtureStream.likelihood_vectors
+        calls = []
+
+        def fail_on_third_call(gmm, feats):
+            calls.append(feats.shape)
+            if len(calls) == 3:
+                raise NotPositiveDefinite("factorization of mode 0 failed")
+            return original(gmm, feats)
+
+        monkeypatch.setattr(GaussianMixtureStream, "likelihood_vectors", fail_on_third_call)
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: batch 3: "), err
+        assert len(calls) == 3
         assert not (out / "summary.json").exists()
 
     def test_bad_loss_mode_is_config_error(self, tmp_path, small_config, capsys):

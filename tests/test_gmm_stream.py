@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
 
 from gmmadapt import gmm_stream, linalg
@@ -247,12 +248,14 @@ class TestSnapshot:
         edited(lambda doc: doc["modes"][0].update(weight=True)),
         edited(lambda doc: doc["modes"][1]["mean"].__setitem__(0, False)),
         edited(lambda doc: doc["modes"][1]["cov_packed"].__setitem__(0, 10 ** 400)),
+        edited(lambda doc: doc.update(jitter=10 ** 400)),
         edited(lambda doc: doc.update(extra=1)),
         edited(lambda doc: doc["modes"][1].update(stray=[1])),
     ], ids=["truncated", "not_json", "top_level_list", "mode_not_object", "string_n_classes",
             "negative_dim", "string_batch_counter", "bool_n_classes", "negative_jitter",
             "modes_object", "number_mean", "string_in_mean", "null_weight", "bool_weight",
-            "bool_in_mean", "huge_int_in_cov", "extra_field", "stray_mode_field"])
+            "bool_in_mean", "huge_int_in_cov", "huge_int_jitter", "extra_field",
+            "stray_mode_field"])
     def test_unreadable_snapshot_is_malformed(self, corrupt):
         rng = np.random.default_rng(6)
         gmm = GaussianMixtureStream(2, 2).update(rng.standard_normal((5, 2)),
@@ -587,3 +590,36 @@ def reachable_reals(gmm) -> int:
     return sum(
         walk(value) for value in vars(gmm).values() if not isinstance(value, (int, float))
     )
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mixtures(draw):
+    """A mixture with arbitrary finite state, in which any mode, and
+    sometimes every mode, may have zero mass."""
+    n_classes, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    gmm = GaussianMixtureStream(n_classes, dim, draw(st.floats(0.0, 1.0)))
+    gmm.batch_counter = draw(st.integers(0, 10**6))
+    gmm.means = draw(arrays(np.float64, (n_classes, dim), elements=finite_floats))
+    gmm.cov_packed = draw(arrays(np.float64, (n_classes, linalg.packed_size(dim)),
+                                 elements=finite_floats))
+    mass = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+    gmm.mass = draw(arrays(np.float64, n_classes, elements=mass))
+    return gmm
+
+
+class TestSnapshotProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(gmm=mixtures())
+    def test_round_trip_is_exact(self, gmm):
+        blob = gmm.to_snapshot()
+        back = GaussianMixtureStream.from_snapshot(blob)
+        assert back.to_snapshot() == blob
+        assert (back.n_classes, back.dim, back.batch_counter) == (
+            gmm.n_classes, gmm.dim, gmm.batch_counter)
+        assert np.float64(back.jitter).tobytes() == np.float64(gmm.jitter).tobytes()
+        for name in ("means", "cov_packed", "mass"):
+            a, b = getattr(gmm, name), getattr(back, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name

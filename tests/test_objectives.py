@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from gmmadapt.objectives import _logsumexp, combined_loss, contrastive_loss, kld_loss
+from gmmadapt.objectives import _logsumexp, contrastive_loss, kld_loss
 from gmmadapt.ood_gate import DISCARDED
 from gmmadapt.toy_model import softmax
 
@@ -230,18 +230,3 @@ class TestKldLoss:
             _, grad = kld_loss(probs, labels, 4)
             z = z - 0.1 * grad
         assert all(b < a for a, b in zip(entropies, entropies[1:]))
-
-
-class TestCombinedLoss:
-    def test_weighted_sum(self):
-        assert combined_loss(0.5, 0.25, 1.0) == pytest.approx(0.75)
-
-    def test_lambda_zero_is_contrastive_only(self):
-        assert combined_loss(0.4, 99.0, 0.0) == pytest.approx(0.4)
-
-    def test_zero_contrastive_convention(self):
-        assert combined_loss(0.0, 0.3, 1.0) == pytest.approx(0.3)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            combined_loss(0.1, 0.1, -1.0)

@@ -1,9 +1,12 @@
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmmadapt.errors import DimensionMismatch, MalformedFile, NonFiniteGradient
 from gmmadapt.toy_model import (
@@ -431,6 +434,24 @@ class TestCheckpoint:
                                                           f"{message}") + "$"):
             ToyModel.load(path)
 
+    def test_oversized_metadata_rejected_before_allocating(self, tmp_path):
+        # the file holds the arrays of d_in 3; its metadata claims 2,000,000
+        path = tmp_path / "model.ckpt"
+        ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        arrays["meta"] = np.array(json.dumps(dict(meta, d_in=2_000_000)))
+        path.write_bytes(_npz_bytes(arrays))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="param_W_g"):
+                ToyModel.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_unknown_version_is_malformed(self, tmp_path):
         path = tmp_path / "model.ckpt"
         ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
@@ -451,6 +472,26 @@ class TestCheckpoint:
         for k in model.params:
             assert not np.array_equal(dup.params[k], model.params[k])
             assert not np.any(model.velocity[k])
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.tuples(*[st.integers(1, 6)] * 4), seed=st.integers(0, 2**32 - 1),
+       steps=st.integers(0, 2))
+def test_checkpoint_round_trip_is_exact(tmp_path_factory, dims, seed, steps):
+    model = ToyModel(*dims, seed=seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(steps):
+        grads = {k: rng.standard_normal(v.shape) for k, v in model.params.items()}
+        model.sgd_step(grads, OptimizerConfig(0.1, 0.9))
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    model.save(path)
+    back = ToyModel.load(path)
+    assert vars(back).keys() == vars(model).keys()
+    assert (back.d_in, back.fd, back.fd_r, back.n_classes, back.seed) == (*dims, seed)
+    for store in ("params", "velocity"):
+        for k in PARAM_NAMES:
+            a, b = getattr(model, store)[k], getattr(back, store)[k]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), (store, k)
 
 
 def _npz_bytes(arrays):
