@@ -30,8 +30,8 @@ what ``memory_footprint`` counts.
 """
 from __future__ import annotations
 
+import contextlib
 import copy
-import itertools
 import json
 
 import numpy as np
@@ -187,13 +187,15 @@ class GaussianMixtureStream:
         return self.means.size + self.cov_packed.size + self.mass.size
 
     # -- snapshot serialization ------------------------------------------
-    # One JSON object, laid out by _HEADER and _MODE below.
+    # One JSON object laid out by _HEADER and _MODE below, written and read mode by mode.
 
     def to_snapshot(self) -> str:
-        doc = {key: getattr(self, key) for key in _HEADER}
-        rows = zip(*(getattr(self, array).tolist() for array in _MODE.values()))
-        doc["modes"] = [dict(zip(_MODE, row)) for row in rows]
-        return json.dumps(doc)
+        head = json.dumps({key: getattr(self, key) for key in _HEADER})
+        pieces = [head[:-1] + ', "modes": [']
+        for row in zip(*(getattr(self, array) for array in _MODE.values())):
+            pieces += json.dumps(dict(zip(_MODE, (v.tolist() for v in row)))), ", "
+        pieces[-1] = "]}"  # the last separator's place closes the list and the document
+        return "".join(pieces)  # one join: another whole copy of the text would add to peak RSS
 
     @classmethod
     def from_snapshot(cls, blob: str) -> "GaussianMixtureStream":
@@ -208,7 +210,7 @@ class GaussianMixtureStream:
         non-finite value or a negative weight.
         """
         try:
-            doc = json.loads(blob)
+            doc = json.loads(blob, object_hook=_rows_as_arrays)
         except json.JSONDecodeError as err:
             raise MalformedFile(f"snapshot is not JSON: {err}") from err
         check_keys(doc, [*_HEADER, "modes"], "snapshot", MalformedFile)
@@ -225,16 +227,20 @@ class GaussianMixtureStream:
         sizes = {"mean": dim, "cov_packed": linalg.packed_size(dim)}
         for key, size in sizes.items():
             for c, entry in enumerate(modes):
-                check_type(entry[key], list, False, f"snapshot mode {c} {key}", MalformedFile)
+                if not isinstance(entry[key], np.ndarray):
+                    check_type(entry[key], list, False, f"snapshot mode {c} {key}", MalformedFile)
                 if len(entry[key]) != size:
                     raise DimensionMismatch(
                         f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
                     )
         state = cls(n_classes, dim, doc["jitter"])
         state.batch_counter = doc["batch_counter"]
-        for key, array in _MODE.items():
-            rows = [entry[key] for entry in modes]
-            setattr(state, array, _number_array(rows, key, nested=key in sizes))
+        state.mass[:] = _numbers([entry["weight"] for entry in modes], "weight")
+        for key in sizes:
+            rows = getattr(state, _MODE[key])
+            for c, entry in enumerate(modes):
+                value = entry[key]  # still a list only where the hook could not convert it
+                rows[c] = value if isinstance(value, np.ndarray) else _numbers(value, key)
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
             raise NonFiniteInput("mode weights must be finite and nonnegative")
         if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):
@@ -250,21 +256,26 @@ _HEADER = {"format_version": (int, 1), "n_classes": (int, 1), "dim": (int, 1),
 _MODE = {"weight": "mass", "mean": "means", "cov_packed": "cov_packed"}
 
 
-def _number_array(rows: list, key: str, nested: bool) -> np.ndarray:
-    """float64 array of one snapshot field over all modes; MalformedFile
-    unless every value is a JSON number.
+def _rows_as_arrays(obj: dict) -> dict:
+    """json object hook: a mode's mean and cov_packed lists as float64
+    arrays, so that no mode's float objects outlive its parse. A value
+    that is not a list of numbers is left as parsed, for from_snapshot."""
+    for key in obj.keys() & {"mean", "cov_packed"}:
+        if type(obj[key]) is list:
+            with contextlib.suppress(MalformedFile):
+                obj[key] = _numbers(obj[key], key)
+    return obj
 
-    rows holds one value per mode, or with nested one list per mode, of
-    lengths the caller has checked. Python reads a JSON boolean as bool,
-    which numpy would take for 0 or 1, so the value types are tested, in
-    one C-level pass over the values.
-    """
-    values = itertools.chain.from_iterable(rows) if nested else rows
+
+def _numbers(values: list, key: str) -> np.ndarray:
+    """float64 array of values; MalformedFile unless every value is a JSON
+    number. Python reads a JSON boolean as bool, which numpy would take
+    for 0 or 1, so the value types are tested, in one C-level pass."""
     found = set(map(type, values)) - {int, float}
     if found:
         names = ", ".join(sorted(t.__name__ for t in found))
         raise MalformedFile(f"every mode's {key} must be made of numbers only, found {names}")
     try:
-        return np.array(rows, dtype=np.float64)
+        return np.array(values, dtype=np.float64)
     except OverflowError as err:
         raise MalformedFile(f"a mode's {key} holds an integer too large for a float") from err

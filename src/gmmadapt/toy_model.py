@@ -180,8 +180,9 @@ class ToyModel:
     @classmethod
     def load(cls, path) -> "ToyModel":
         """Read a checkpoint written by save: MalformedFile for any other
-        file or for metadata other than the written keys with int values
-        in range, DimensionMismatch for an array its metadata does not fit.
+        file, for metadata other than the written keys with int values in
+        range or for an array not of native float64, DimensionMismatch for
+        an array its metadata does not fit.
         Every array is checked before the model is built from the file's
         arrays, so a bad file costs no more memory than its own size.
         """
@@ -206,6 +207,9 @@ class ToyModel:
                     raise DimensionMismatch(
                         f"checkpoint array {prefix}_{name} has shape {array.shape}, "
                         f"expected {expected} from its metadata")
+                if array.dtype != np.float64:
+                    raise MalformedFile(f"{path} is not a model checkpoint: array {prefix}_{name}"
+                                        f" has dtype {array.dtype}, expected float64")
         model = cls.__new__(cls)  # not __init__: its seeded init would be thrown away
         vars(model).update({key: meta[key] for key in _META_LEAST if key != "format_version"})
         model.params = {k: arrays[f"param_{k}"] for k in PARAM_NAMES}

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -595,17 +596,24 @@ def reachable_reals(gmm) -> int:
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 
+# floats whose repr takes exponent form, signed zeros and float64's extremes
+repr_edges = st.sampled_from([1e-05, 1e+16, -2.5e-07, 1.5e+300, 5e-324,
+                              1.7976931348623157e+308, -0.0, 0.0])
+edge_masses = st.sampled_from([0.0, -0.0, 1e-05, 1e+16])
+
+
 @st.composite
-def mixtures(draw):
-    """A mixture with arbitrary finite state, in which any mode, and
-    sometimes every mode, may have zero mass."""
+def mixtures(draw, values=finite_floats, masses=st.floats(0.0, 1e300)):
+    """A mixture with arbitrary finite state, drawn from values and, for
+    the masses, from masses, in which any mode, and sometimes every mode,
+    may have zero mass."""
     n_classes, dim = draw(st.integers(1, 6)), draw(st.integers(1, 4))
     gmm = GaussianMixtureStream(n_classes, dim, draw(st.floats(0.0, 1.0)))
     gmm.batch_counter = draw(st.integers(0, 10**6))
-    gmm.means = draw(arrays(np.float64, (n_classes, dim), elements=finite_floats))
+    gmm.means = draw(arrays(np.float64, (n_classes, dim), elements=values))
     gmm.cov_packed = draw(arrays(np.float64, (n_classes, linalg.packed_size(dim)),
-                                 elements=finite_floats))
-    mass = st.one_of(st.just(0.0), st.floats(0.0, 1e300))
+                                 elements=values))
+    mass = st.one_of(st.just(0.0), masses)
     gmm.mass = draw(arrays(np.float64, n_classes, elements=mass))
     return gmm
 
@@ -623,3 +631,85 @@ class TestSnapshotProperties:
         for name in ("means", "cov_packed", "mass"):
             a, b = getattr(gmm, name), getattr(back, name)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def whole_document_snapshot(gmm) -> str:
+    """Reference writer: the whole document built as Python objects, then
+    one json.dumps. to_snapshot must give the same text."""
+    doc = {key: getattr(gmm, key) for key in gmm_stream._HEADER}
+    rows = zip(*(getattr(gmm, array).tolist() for array in gmm_stream._MODE.values()))
+    doc["modes"] = [dict(zip(gmm_stream._MODE, row)) for row in rows]
+    return json.dumps(doc)
+
+
+def whole_document_arrays(blob: str) -> dict:
+    """Reference reader: the whole document parsed, then one np.array per
+    field over all modes. from_snapshot must give bit-equal arrays."""
+    modes = json.loads(blob)["modes"]
+    return {array: np.array([mode[key] for mode in modes], dtype=np.float64)
+            for key, array in gmm_stream._MODE.items()}
+
+
+class TestPerModeSnapshotIO:
+    """The per-mode writer and reader against the whole-document ones."""
+
+    def assert_same_as_whole_document(self, gmm):
+        blob = gmm.to_snapshot()
+        assert blob == whole_document_snapshot(gmm)
+        back = GaussianMixtureStream.from_snapshot(blob)
+        for array, expected in whole_document_arrays(blob).items():
+            got = getattr(back, array)
+            assert (got.dtype, got.shape, got.tobytes()) == (
+                expected.dtype, expected.shape, expected.tobytes()), array
+
+    @settings(max_examples=80, deadline=None)
+    @given(gmm=mixtures(values=st.one_of(repr_edges, finite_floats),
+                        masses=st.one_of(edge_masses, st.floats(0.0, 1e300))))
+    def test_bytes_and_arrays_match_whole_document(self, gmm):
+        self.assert_same_as_whole_document(gmm)
+
+    @pytest.mark.parametrize("mass", [[0.0], [1e+16], [0.0, -0.0, 1e-05]],
+                             ids=["one_zero_mass_mode", "one_mode", "zero_mass_modes"])
+    def test_exponent_reprs_and_signed_zeros_match(self, mass):
+        gmm = GaussianMixtureStream(len(mass), 2, jitter=1e-05)
+        gmm.batch_counter = 10**16
+        gmm.means[:] = [1e-05, -0.0]
+        gmm.cov_packed[:] = [1e+16, 5e-324, -0.0]
+        gmm.mass[:] = mass
+        blob = gmm.to_snapshot()
+        for text in ("1e-05", "1e+16", "5e-324", "-0.0"):
+            assert text in blob
+        self.assert_same_as_whole_document(gmm)
+
+
+class TestSnapshotMemory:
+    """Snapshot I/O holds one mode's Python objects at a time. The writer's
+    peak is the pieces it joins plus the joined text, about twice the text;
+    the reader's is the parsed rows plus the state, about twice the state.
+    Python objects for every stored real would cost several times more."""
+
+    @pytest.fixture(scope="class")
+    def gmm(self):
+        rng = np.random.default_rng(60)
+        gmm = GaussianMixtureStream(60, 64, jitter=2e-2)
+        gmm.update(rng.standard_normal((64, 64)), rng.dirichlet(np.ones(60), size=64))
+        return gmm
+
+    @staticmethod
+    def traced_peak(fn, *args) -> int:
+        fn(*args)  # a first call's one-off allocations are not the I/O's
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peak_within_2_2x_text(self, gmm):
+        text = gmm.to_snapshot()
+        assert self.traced_peak(gmm.to_snapshot) < 2.2 * len(text)
+
+    def test_read_peak_within_2_5x_state(self, gmm):
+        blob = gmm.to_snapshot()
+        state_bytes = 8 * gmm.memory_footprint()
+        assert self.traced_peak(GaussianMixtureStream.from_snapshot, blob) < 2.5 * state_bytes

@@ -452,6 +452,23 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize("name,dtype", [
+        ("param_W_g", np.int64), ("vel_b_h", "<U3"), ("param_b_r", ">f8"), ("vel_W_r", np.float32),
+    ], ids=["int_param", "str_velocity", "big_endian_param", "float32_velocity"])
+    def test_non_float64_array_is_malformed(self, tmp_path, name, dtype):
+        # the model computes in native float64; an int or string array would
+        # otherwise load and fail only at the first sgd_step
+        path = tmp_path / "model.ckpt"
+        ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays[name] = arrays[name].astype(dtype)
+        path.write_bytes(_npz_bytes(arrays))
+        with pytest.raises(MalformedFile, match=re.escape(
+                f"{path} is not a model checkpoint: array {name} has dtype "
+                f"{np.dtype(dtype)}, expected float64") + "$"):
+            ToyModel.load(path)
+
     def test_unknown_version_is_malformed(self, tmp_path):
         path = tmp_path / "model.ckpt"
         ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13).save(path)
