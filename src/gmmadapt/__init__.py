@@ -4,6 +4,11 @@ out-of-distribution gating with self-calibrating thresholds, and a
 contrastive + KL-divergence adaptation loop, exercised end-to-end on a
 synthetic feature-stream simulator.
 """
+import os
+
+# The matrices are small, so BLAS threads cost more than they give. A value
+# the caller set stays, and numpy imported before this line ignores it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import RunConfig, default_config, load_config
 from .gmm_stream import GaussianMixtureStream

@@ -30,9 +30,9 @@ what ``memory_footprint`` counts.
 """
 from __future__ import annotations
 
-import contextlib
 import copy
 import json
+import reprlib
 
 import numpy as np
 
@@ -203,8 +203,8 @@ class GaussianMixtureStream:
 
         Raises MalformedFile for text that is not a JSON object, another
         version, a missing or unknown field, a header value of the wrong
-        type or range, or a mode that is not an object of number lists
-        (a JSON boolean is not a number);
+        type or range, or a mode value that is not made of numbers (a JSON
+        boolean is not a number), naming the mode;
         DimensionMismatch for a mode count other than n_classes or a
         mean/cov_packed of the wrong length; and NonFiniteInput for a
         non-finite value or a negative weight.
@@ -220,27 +220,22 @@ class GaussianMixtureStream:
             check_number(doc[key], typ, least, f"snapshot {key}", MalformedFile)
         n_classes, dim, modes = doc["n_classes"], doc["dim"], doc["modes"]
         check_type(modes, list, False, "snapshot modes", MalformedFile)
-        for c, entry in enumerate(modes):
-            check_keys(entry, _MODE, f"snapshot mode {c}", MalformedFile)
         if len(modes) != n_classes:
             raise DimensionMismatch(f"{len(modes)} modes for {n_classes} classes")
-        sizes = {"mean": dim, "cov_packed": linalg.packed_size(dim)}
-        for key, size in sizes.items():
-            for c, entry in enumerate(modes):
-                if not isinstance(entry[key], np.ndarray):
-                    check_type(entry[key], list, False, f"snapshot mode {c} {key}", MalformedFile)
-                if len(entry[key]) != size:
-                    raise DimensionMismatch(
-                        f"mode {c}: {key} has {len(entry[key])} entries, expected {size}"
-                    )
         state = cls(n_classes, dim, doc["jitter"])
         state.batch_counter = doc["batch_counter"]
-        state.mass[:] = _numbers([entry["weight"] for entry in modes], "weight")
-        for key in sizes:
-            rows = getattr(state, _MODE[key])
-            for c, entry in enumerate(modes):
-                value = entry[key]  # still a list only where the hook could not convert it
-                rows[c] = value if isinstance(value, np.ndarray) else _numbers(value, key)
+        for c, entry in enumerate(modes):
+            check_keys(entry, _MODE, f"snapshot mode {c}", MalformedFile)
+            for key, array in _MODE.items():
+                value, rows = entry[key], getattr(state, array)
+                if not isinstance(value, np.ndarray):
+                    kind = "a number" if key == "weight" else "a list of numbers"
+                    raise MalformedFile(f"snapshot mode {c} {key} must be {kind}, "
+                                        f"got {reprlib.repr(value)}")
+                if value.shape != rows.shape[1:]:
+                    raise DimensionMismatch(f"mode {c}: {key} has {value.size} entries, "
+                                            f"expected {rows[c].size}")
+                rows[c] = value
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
             raise NonFiniteInput("mode weights must be finite and nonnegative")
         if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):
@@ -257,25 +252,17 @@ _MODE = {"weight": "mass", "mean": "means", "cov_packed": "cov_packed"}
 
 
 def _rows_as_arrays(obj: dict) -> dict:
-    """json object hook: a mode's mean and cov_packed lists as float64
-    arrays, so that no mode's float objects outlive its parse. A value
-    that is not a list of numbers is left as parsed, for from_snapshot."""
-    for key in obj.keys() & {"mean", "cov_packed"}:
-        if type(obj[key]) is list:
-            with contextlib.suppress(MalformedFile):
-                obj[key] = _numbers(obj[key], key)
+    """json object hook: a mode's numbers as float64 arrays (the weight 0-d),
+    so that no mode's float objects outlive its parse. Types are tested in
+    one C-level pass, since numpy would take a JSON boolean for 0 or 1; a
+    value not made of numbers is left as parsed, for from_snapshot."""
+    if obj.keys() == _MODE.keys():
+        for key, value in obj.items():
+            items = [value] if key == "weight" else value
+            if type(items) is list and set(map(type, items)) <= {int, float}:
+                try:
+                    obj[key] = np.array(value, dtype=np.float64)
+                except OverflowError as err:
+                    raise MalformedFile(
+                        f"a mode's {key} holds an integer too large for a float") from err
     return obj
-
-
-def _numbers(values: list, key: str) -> np.ndarray:
-    """float64 array of values; MalformedFile unless every value is a JSON
-    number. Python reads a JSON boolean as bool, which numpy would take
-    for 0 or 1, so the value types are tested, in one C-level pass."""
-    found = set(map(type, values)) - {int, float}
-    if found:
-        names = ", ".join(sorted(t.__name__ for t in found))
-        raise MalformedFile(f"every mode's {key} must be made of numbers only, found {names}")
-    try:
-        return np.array(values, dtype=np.float64)
-    except OverflowError as err:
-        raise MalformedFile(f"a mode's {key} holds an integer too large for a float") from err

@@ -20,6 +20,8 @@ from scipy.linalg.blas import dtrsm
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# Jitter doublings a failing matrix gets before NotPositiveDefinite.
+MAX_RETRIES = 8
 
 
 def packed_size(dim: int) -> int:
@@ -97,8 +99,7 @@ def weighted_scatter(feats: np.ndarray, weights: np.ndarray, centers: np.ndarray
     return pack(dense)
 
 
-def cholesky(packed: np.ndarray, jitter: float = 0.0, max_retries: int = 8,
-             ids: np.ndarray | None = None) -> np.ndarray:
+def cholesky(packed: np.ndarray, jitter: float = 0.0, ids: np.ndarray | None = None) -> np.ndarray:
     """Lower Cholesky factors L[b] with L[b] L[b]^T = C[b] + jitter * I.
 
     packed holds the symmetric matrices C[b] as packed rows (B, P), so
@@ -106,7 +107,7 @@ def cholesky(packed: np.ndarray, jitter: float = 0.0, max_retries: int = 8,
     diagonal of the unpacked stack, a new array, and packed is left
     unchanged. The whole stack is factored in one call. If that fails,
     each matrix goes through its own jitter ladder (starting at 1e-6 when
-    the given jitter is zero, doubling each retry, up to ``max_retries``
+    the given jitter is zero, doubling each retry, up to ``MAX_RETRIES``
     times) before NotPositiveDefinite, naming the matrix as ids[b]
     (default b), is raised, so only a failing matrix's jitter rises. Small
     effective sample counts make near-singular covariances routine, so the
@@ -130,21 +131,21 @@ def cholesky(packed: np.ndarray, jitter: float = 0.0, max_retries: int = 8,
     except np.linalg.LinAlgError:
         eye = np.eye(dim)
         return np.stack([
-            _jitter_ladder(dense, float(jitter), max_retries, eye, b if ids is None else ids[b])
+            _jitter_ladder(dense, float(jitter), eye, b if ids is None else ids[b])
             for b, dense in enumerate(unpack(packed, dim))
         ])
 
 
-def _jitter_ladder(dense: np.ndarray, current: float, max_retries: int, eye: np.ndarray, name):
-    for attempt in range(max_retries + 1):
+def _jitter_ladder(dense: np.ndarray, current: float, eye: np.ndarray, name):
+    for attempt in range(MAX_RETRIES + 1):
         try:
             return np.linalg.cholesky(dense if current == 0.0 else dense + current * eye)
         except np.linalg.LinAlgError:
-            if attempt == max_retries:
+            if attempt == MAX_RETRIES:
                 break
             current = 1e-6 if current == 0.0 else 2.0 * current
     raise NotPositiveDefinite(
-        f"factorization of mode {name} failed after {max_retries} jitter retries "
+        f"factorization of mode {name} failed after {MAX_RETRIES} jitter retries "
         f"(last jitter {current:g})"
     )
 

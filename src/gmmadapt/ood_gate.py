@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadyFrozen, BatchTooSmall, Uncalibrated
+from .errors import AlreadyFrozen, BatchTooSmall, NonFiniteInput, Uncalibrated
 
 DISCARDED = -1
 
@@ -88,7 +88,8 @@ class ThresholdState:
         The cut rank is m = max(1, round(N_b * (100 - p_reject)/200)), a
         nearest-rank quantile (round half away from zero). Degenerate
         batches where both running averages coincide are repaired by a
-        symmetric eps offset so tau_k < tau_u always holds.
+        symmetric eps offset so tau_k < tau_u always holds. A non-finite
+        entropy raises NonFiniteInput before any field changes.
         """
         if self.frozen:
             raise AlreadyFrozen(f"calibration window closed after {self.n_init} batches")
@@ -96,6 +97,8 @@ class ThresholdState:
         n = entropies.shape[0]
         if n < 4:
             raise BatchTooSmall(f"need at least 4 samples to calibrate, got {n}")
+        if not np.all(np.isfinite(entropies)):
+            raise NonFiniteInput("calibration entropies must be finite")
         m = max(1, int(np.floor(n * (100.0 - self.p_reject) / 200.0 + 0.5)))
         ordered = np.sort(entropies)
         low = float(ordered[m - 1])

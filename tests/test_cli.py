@@ -615,6 +615,23 @@ class TestInstalledEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
+    @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")],
+                             ids=["unset", "caller_set"])
+    def test_import_defaults_openblas_to_one_thread(self, package_env, given, expected):
+        """Importing gmmadapt sets OPENBLAS_NUM_THREADS only when the caller
+        has not, and leaves OMP_NUM_THREADS, which other libraries read, alone."""
+        env = {k: v for k, v in package_env.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if given is not None:
+            env["OPENBLAS_NUM_THREADS"] = given
+        proc = subprocess.run(
+            [sys.executable, "-c", "import os, gmmadapt; "
+             "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ.get('OMP_NUM_THREADS'))"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{expected} None\n"
+
     @pytest.mark.skipif(shutil.which("gmmadapt") is None,
                         reason="gmmadapt console script not installed")
     def test_installed_script_memory(self):

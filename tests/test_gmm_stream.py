@@ -252,17 +252,28 @@ class TestSnapshot:
         edited(lambda doc: doc.update(jitter=10 ** 400)),
         edited(lambda doc: doc.update(extra=1)),
         edited(lambda doc: doc["modes"][1].update(stray=[1])),
+        edited(lambda doc: doc["modes"][1].update(weight=10 ** 400)),
+        edited(lambda doc: doc["modes"][1].update(weight=[1.0])),
+        edited(lambda doc: doc["modes"][0].update(mean="x")),
+        edited(lambda doc: doc["modes"][1]["cov_packed"].__setitem__(0, [0.0])),
     ], ids=["truncated", "not_json", "top_level_list", "mode_not_object", "string_n_classes",
             "negative_dim", "string_batch_counter", "bool_n_classes", "negative_jitter",
             "modes_object", "number_mean", "string_in_mean", "null_weight", "bool_weight",
             "bool_in_mean", "huge_int_in_cov", "huge_int_jitter", "extra_field",
-            "stray_mode_field"])
+            "stray_mode_field", "huge_int_weight", "list_weight", "string_mean",
+            "nested_list_in_cov"])
     def test_unreadable_snapshot_is_malformed(self, corrupt):
         rng = np.random.default_rng(6)
         gmm = GaussianMixtureStream(2, 2).update(rng.standard_normal((5, 2)),
                                                  rng.dirichlet(np.ones(2), size=5))
         with pytest.raises(MalformedFile):
             GaussianMixtureStream.from_snapshot(corrupt(gmm.to_snapshot()))
+
+    def test_bool_in_a_mean_names_its_mode(self):
+        doc = json.loads(GaussianMixtureStream(3, 2).to_snapshot())
+        doc["modes"][1]["mean"][1] = True
+        with pytest.raises(MalformedFile, match=r"^snapshot mode 1 mean must be .*\bTrue\b"):
+            GaussianMixtureStream.from_snapshot(json.dumps(doc))
 
     @pytest.mark.parametrize("edit,named", [
         (lambda doc: doc.update(extra=1), "snapshot keys: missing [], unexpected ['extra']"),

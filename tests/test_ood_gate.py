@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from gmmadapt.errors import AlreadyFrozen, BatchTooSmall, Uncalibrated
+from gmmadapt.errors import AlreadyFrozen, BatchTooSmall, NonFiniteInput, Uncalibrated
 from gmmadapt.ood_gate import DISCARDED, ThresholdState, normalized_entropy_rows
 
 
@@ -110,6 +115,20 @@ class TestCalibrate:
         for _ in range(20):
             ts.calibrate(rng.uniform(0, 1, size=32))
             assert ts.tau_k < ts.tau_u
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entropy_raises_before_any_change(self, bad):
+        # a NaN accepted here would freeze tau_u at NaN, and then predict_batch
+        # would send every row to unknown and no row would be labeled unknown
+        ts = ThresholdState(n_init=2, p_reject=50.0)
+        with pytest.raises(NonFiniteInput):
+            ts.calibrate(np.array([0.1, 0.2, bad, 0.9]))
+        assert ts == ThresholdState(n_init=2, p_reject=50.0)
+        ts.calibrate(np.array([0.1, 0.2, 0.3, 0.9]))
+        before = dataclasses.replace(ts)
+        with pytest.raises(NonFiniteInput):
+            ts.calibrate(np.array([0.1, 0.2, bad, 0.9]))
+        assert ts == before
 
     def test_first_batch_discard_share_matches_p_reject(self):
         # distinct entropies: the rank rule discards exactly p_reject percent
@@ -237,3 +256,56 @@ class TestPredict:
         batch = ts.predict_batch(soft, p, normalized_entropy_rows(p))
         for i in range(30):
             assert batch[i] == reference_predict(ts, soft[i], p[i])
+
+
+# Entropies in [0, 1], drawn often from a few values so that batches hold
+# ties; a batch may also be one value repeated.
+entropy_values = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+entropy_batches = st.one_of(
+    st.lists(entropy_values, min_size=4, max_size=40),
+    st.builds(lambda value, n: [value] * n, entropy_values, st.integers(4, 40)),
+)
+
+
+@st.composite
+def calibrated_states(draw):
+    """A ThresholdState after a drawn sequence of calibration batches, and
+    the tau_k < tau_u check after each call."""
+    batches = draw(st.lists(entropy_batches, min_size=1, max_size=6))
+    ts = ThresholdState(n_init=draw(st.integers(len(batches), len(batches) + 3)),
+                        p_reject=draw(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True)))
+    for batch in batches:
+        ts.calibrate(np.array(batch))
+        assert ts.tau_k < ts.tau_u, (ts, batch)
+    return ts
+
+
+class TestGateProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(ts=calibrated_states())
+    def test_tau_k_below_tau_u_after_every_calibration(self, ts):
+        assert ts.tau_k < ts.tau < ts.tau_u
+
+    @settings(max_examples=100, deadline=None)
+    @given(ts=calibrated_states(), entropies=st.lists(entropy_values, min_size=1, max_size=30),
+           n_classes=st.integers(2, 5))
+    def test_pseudo_label_bucket_rises_with_entropy(self, ts, entropies, n_classes):
+        entropies = np.sort(np.array(entropies + [ts.tau_k, ts.tau_u]))
+        p = np.full((entropies.size, n_classes), 1.0 / n_classes)
+        labels = ts.pseudo_label_batch(p, entropies)
+        # known 0, discarded 1, unknown 2
+        buckets = np.where(labels == DISCARDED, 1, np.where(labels == n_classes, 2, 0))
+        assert np.all(np.diff(buckets) >= 0), (ts, entropies, labels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ts=calibrated_states(), data=st.data())
+    def test_predict_routes_by_tau(self, ts, data):
+        entropies = np.array(data.draw(st.lists(entropy_values, min_size=1, max_size=30))
+                             + [ts.tau])
+        n_classes = data.draw(st.integers(2, 5))
+        softmax = data.draw(arrays(np.float64, (entropies.size, n_classes),
+                                   elements=st.floats(0.0, 1.0)))
+        p = np.full_like(softmax, 1.0 / n_classes)
+        preds = ts.predict_batch(softmax, p, entropies)
+        expected = np.where(entropies <= ts.tau, np.argmax(softmax, axis=1), n_classes)
+        np.testing.assert_array_equal(preds, expected)
