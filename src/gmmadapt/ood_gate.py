@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadyFrozen, BatchTooSmall, NonFiniteInput, Uncalibrated
+from .errors import AlreadyFrozen, BatchTooSmall, DimensionMismatch, NonFiniteInput, Uncalibrated
 
 DISCARDED = -1
 
@@ -86,10 +86,12 @@ class ThresholdState:
         """Fold one batch of entropy values into the threshold averages.
 
         The cut rank is m = max(1, round(N_b * (100 - p_reject)/200)), a
-        nearest-rank quantile (round half away from zero). Degenerate
-        batches where both running averages coincide are repaired by a
-        symmetric eps offset so tau_k < tau_u always holds. A non-finite
-        entropy raises NonFiniteInput before any field changes.
+        nearest-rank quantile (round half away from zero). When tau would
+        not fall strictly between the running averages (they coincide, or
+        are adjacent floats whose midpoint rounds onto one of them), both
+        move a symmetric eps away from that midpoint, so tau_k < tau < tau_u
+        always holds. A non-finite entropy raises NonFiniteInput before any
+        field changes.
         """
         if self.frozen:
             raise AlreadyFrozen(f"calibration window closed after {self.n_init} batches")
@@ -108,15 +110,29 @@ class ThresholdState:
         self.batches_seen += 1
         self.tau_k = self.sum_low / self.batches_seen
         self.tau_u = self.sum_high / self.batches_seen
-        if self.tau_k >= self.tau_u:
-            mid = 0.5 * (self.tau_k + self.tau_u)
+        mid = self.tau
+        if not self.tau_k < mid < self.tau_u:
             self.tau_k = mid - EPS_SEPARATION
             self.tau_u = mid + EPS_SEPARATION
         return self
 
-    def _require_calibrated(self):
+    def _gate_inputs(self, p: np.ndarray, entropies: np.ndarray):
+        """p as float64 and its checked entropies, before any output is built.
+
+        One finite entropy per row of p is required: a NaN would compare
+        False with both thresholds and be routed without a word.
+        """
         if self.batches_seen < 1:
             raise Uncalibrated("thresholds have not seen any calibration batch")
+        p = np.asarray(p, dtype=np.float64)
+        entropies = np.asarray(entropies, dtype=np.float64)
+        if entropies.shape != p.shape[:1]:
+            raise DimensionMismatch(
+                f"entropies of shape {entropies.shape} for {p.shape[0]} likelihood rows"
+            )
+        if not np.all(np.isfinite(entropies)):
+            raise NonFiniteInput("gate entropies must be finite")
+        return p, entropies
 
     def pseudo_label_batch(self, p: np.ndarray, entropies: np.ndarray) -> np.ndarray:
         """Three-way pseudo-label per row of likelihood vectors p.
@@ -125,8 +141,7 @@ class ThresholdState:
         entropy is at most tau_k, the unknown class C when it is at least
         tau_u, and DISCARDED in between. entropies: normalized_entropy_rows(p).
         """
-        self._require_calibrated()
-        p = np.asarray(p, dtype=np.float64)
+        p, entropies = self._gate_inputs(p, entropies)
         labels = np.full(p.shape[0], DISCARDED, dtype=int)
         known = entropies <= self.tau_k
         unknown = entropies >= self.tau_u
@@ -141,10 +156,15 @@ class ThresholdState:
         The class decision uses the model softmax, the gate uses the
         entropies of the mixture likelihoods p against tau = (tau_k +
         tau_u)/2; the boundary entropy == tau routes to the known branch.
+        softmax_outs must have p's shape, so that no argmax reaches the
+        unknown label C.
         """
-        self._require_calibrated()
-        p = np.asarray(p, dtype=np.float64)
+        p, entropies = self._gate_inputs(p, entropies)
         softmax_outs = np.asarray(softmax_outs, dtype=np.float64)
+        if softmax_outs.shape != p.shape:
+            raise DimensionMismatch(
+                f"softmax {softmax_outs.shape} and likelihoods {p.shape} differ"
+            )
         preds = np.full(p.shape[0], p.shape[1], dtype=int)
         known = entropies <= self.tau
         preds[known] = np.argmax(softmax_outs[known], axis=1)

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidSplit
 
@@ -98,6 +97,10 @@ class DomainSpec:
     def rotation(self) -> np.ndarray:
         if self.rotation_seed is None or self.rotation_strength == 0.0:
             return np.eye(self.d_in)
+        # imported here so that only a rotated domain loads scipy.linalg
+        # (about 26 MB of RSS)
+        from scipy.linalg import expm
+
         rng = np.random.default_rng(np.random.SeedSequence(self.rotation_seed))
         a = rng.standard_normal((self.d_in, self.d_in))
         skew = (a - a.T) / 2.0

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -614,6 +615,57 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    def test_mixture_step_leaves_scipy_linalg_unloaded(self, package_env):
+        """A mixture update, its likelihoods and a snapshot round trip stay off
+        scipy.linalg (about 26 MB of RSS): the solve calls OpenBLAS directly."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import gmmadapt\n"
+            "rng = np.random.default_rng(0)\n"
+            "gmm = gmmadapt.GaussianMixtureStream(9, 16)\n"
+            "feats = rng.standard_normal((64, 16))\n"
+            "gmm.update(feats, rng.dirichlet(np.ones(9), size=64))\n"
+            "assert np.allclose(gmm.likelihood_vectors(feats).sum(axis=1), 1.0)\n"
+            "back = gmmadapt.GaussianMixtureStream.from_snapshot(gmm.to_snapshot())\n"
+            "assert np.array_equal(back.cov_packed, gmm.cov_packed)\n"
+            "print('scipy.linalg' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+    def test_scipy_without_bundled_openblas_is_an_import_error(self, package_env, tmp_path):
+        """No silent fallback: a scipy with no scipy.libs/libscipy_openblas
+        stops the import with the path searched."""
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        env = dict(package_env, PYTHONPATH=f"{tmp_path}{os.pathsep}{package_env['PYTHONPATH']}")
+        proc = subprocess.run([sys.executable, "-c", "import gmmadapt"],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert "ImportError: no library matches " + str(tmp_path / "scipy.libs") in proc.stderr
+
+    def test_unset_thread_variables_give_the_one_thread_bytes(self, package_env, tmp_path):
+        """With no BLAS thread variable set, a run writes the bytes of a
+        1-thread run, since the package pins OpenBLAS, the ctypes-loaded
+        copy included, to one thread. At 2 OpenBLAS threads this config's
+        metrics.jsonl differs in the last bits (measured on a 2-vCPU host)."""
+        unset = {k: v for k, v in package_env.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        written = {}
+        for name, env in (("unset", unset), ("one", dict(unset, OPENBLAS_NUM_THREADS="1"))):
+            out = tmp_path / name
+            proc = subprocess.run(
+                [sys.executable, "-m", "gmmadapt", "adapt", "--fd", "256", "--fd-r", "128",
+                 "--n-b", "128", "--n-batches", "6", "--n-init", "3", "--out", str(out)],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written[name] = (out / "metrics.jsonl").read_bytes()
+        assert written["unset"] == written["one"]
 
     @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")],
                              ids=["unset", "caller_set"])

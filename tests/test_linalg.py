@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrsm
 
 from gmmadapt import linalg
 from gmmadapt.errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
@@ -24,6 +27,34 @@ def reference_log_density(x, mean, L):
     y = solve_triangular(L, x - mean, lower=True)
     log_det = 2.0 * float(np.sum(np.log(np.diag(L))))
     return -0.5 * (L.shape[0] * np.log(2 * np.pi) + log_det + float(y @ y))
+
+
+def reference_log_density_batch(xs, means, chols):
+    """log_gauss_density_batch with scipy's f2py dtrsm doing each mode's solve."""
+    log_dets = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
+    diffs = xs[None, :, :] - means[:, None, :]
+    for b in range(chols.shape[0]):
+        diffs[b] = dtrsm(1.0, chols[b].T, diffs[b].T, side=0, lower=0, trans_a=1).T
+    sq_norms = np.sum(diffs * diffs, axis=2)
+    return (-0.5 * (xs.shape[1] * linalg.LOG_2PI + log_dets[:, None] + sq_norms)).T
+
+
+@st.composite
+def density_problems(draw):
+    """(xs, means, chols) with factors of near-singular jittered covariances:
+    each covariance has a drawn rank of at most dim, and a small jitter
+    on its diagonal."""
+    dim = draw(st.integers(1, 70))
+    n_rows = draw(st.integers(1, 130))
+    n_modes = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, dim))
+    jitter = draw(st.sampled_from([1e-9, 1e-6, 1e-3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n_modes, dim, rank))
+    chols = linalg.cholesky(linalg.pack(a @ a.transpose(0, 2, 1) / rank), jitter=jitter)
+    means = rng.standard_normal((n_modes, dim))
+    xs = 3.0 * rng.standard_normal((n_rows, dim))
+    return xs, means, chols
 
 
 class TestSymMat:
@@ -170,6 +201,20 @@ class TestLogGaussDensity:
         with pytest.raises(NotPositiveDefinite, match="mode 70: zero pivot at row 2$"):
             linalg.log_gauss_density_batch(np.ones((2, 3)), np.zeros((2, 3)), L,
                                            ids=np.array([40, 70]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(problem=density_problems(), data=st.data())
+    def test_solve_equals_scipy_dtrsm_bit_for_bit(self, problem, data):
+        xs, means, chols = problem
+        # a Fortran-ordered stack is copied to C order before BLAS reads it
+        chols = np.asarray(chols, order=data.draw(st.sampled_from("CF")))
+        np.testing.assert_array_equal(linalg.log_gauss_density_batch(xs, means, chols),
+                                      reference_log_density_batch(xs, means, chols))
+        n_modes, dim = chols.shape[:2]
+        b, i = data.draw(st.integers(0, n_modes - 1)), data.draw(st.integers(0, dim - 1))
+        chols[b, i, i] = 0.0
+        with pytest.raises(NotPositiveDefinite, match=f"mode {b + 7}: zero pivot at row {i}$"):
+            linalg.log_gauss_density_batch(xs, means, chols, ids=np.arange(n_modes) + 7)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gmmadapt.errors import AlreadyFrozen, BatchTooSmall, NonFiniteInput, Uncalibrated
+from gmmadapt.errors import (AlreadyFrozen, BatchTooSmall, DimensionMismatch, NonFiniteInput,
+                             Uncalibrated)
 from gmmadapt.ood_gate import DISCARDED, ThresholdState, normalized_entropy_rows
 
 
@@ -82,6 +83,14 @@ class TestCalibrate:
         assert ts.tau_k < ts.tau_u
         assert ts.tau_u - ts.tau_k == pytest.approx(2e-6)
         assert ts.tau_k < ts.tau < ts.tau_u
+
+    def test_adjacent_float_thresholds_are_separated(self):
+        # tau_k = 0.0 and tau_u = 5e-324 are adjacent floats: their midpoint
+        # rounds onto tau_k, so tau would equal tau_k without the repair
+        ts = ThresholdState(n_init=1, p_reject=1.0)
+        ts.calibrate(np.array([0.0, 0.0, 5e-324, 5e-324]))
+        assert ts.tau_k < ts.tau < ts.tau_u
+        assert ts.tau_u - ts.tau_k == pytest.approx(2e-6)
 
     def test_batch_too_small(self):
         ts = ThresholdState(n_init=30, p_reject=50.0)
@@ -225,6 +234,46 @@ class TestPseudoLabel:
         uniform = np.full(4, 0.25)
         buckets = [bucket((1 - a) * hot + a * uniform) for a in np.linspace(0, 1, 50)]
         assert all(b2 >= b1 for b1, b2 in zip(buckets, buckets[1:]))
+
+
+class TestGateInputs:
+    """pseudo_label_batch and predict_batch check their entropies first."""
+
+    def make_state(self):
+        return ThresholdState(n_init=30, p_reject=50.0, tau_k=0.3, tau_u=0.7,
+                              batches_seen=1)
+
+    def gate_both(self, ts, p, entropies):
+        return [lambda: ts.pseudo_label_batch(p, entropies),
+                lambda: ts.predict_batch(p, p, entropies)]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entropy_raises(self, bad):
+        # unchecked, a NaN compares False with every threshold: [nan, 0.0]
+        # gave predictions [2, 1] and labels [-1, 1] without a word
+        p = np.array([[0.5, 0.5], [0.0, 1.0]])
+        for call in self.gate_both(self.make_state(), p, np.array([bad, 0.0])):
+            with pytest.raises(NonFiniteInput):
+                call()
+
+    @pytest.mark.parametrize("n_entropies", [1, 3])
+    def test_entropy_count_must_match_rows(self, n_entropies):
+        p = np.array([[0.5, 0.5], [0.0, 1.0]])
+        for call in self.gate_both(self.make_state(), p, np.zeros(n_entropies)):
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["rows", "classes"])
+    def test_predict_softmax_must_match_likelihoods(self, shape):
+        p = np.array([[0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(DimensionMismatch):
+            self.make_state().predict_batch(np.full(shape, 0.5), p, np.zeros(2))
+
+    def test_uncalibrated_comes_first(self):
+        ts = ThresholdState(n_init=30, p_reject=50.0)
+        for call in self.gate_both(ts, np.full((2, 2), 0.5), np.array([np.nan])):
+            with pytest.raises(Uncalibrated):
+                call()
 
 
 class TestPredict:
