@@ -1,22 +1,23 @@
 """Run configuration: defaults, JSON round-trip, flag overrides, validation.
 
 A run is a single JSON document. Nested sections (shift, domain) map to
-their dataclasses; every scalar key has a CLI flag of the same name with
+their dataclasses; every key has a CLI flag of the same name with
 underscores replaced by dashes (nested keys join their path, e.g.
 --domain-class-sep). The resolved config echoed into each run directory
-contains every effective parameter, including derived ones, so a run can
-be replayed exactly. The dataclass fields are the one statement of that
-schema: config_keys derives the flag set from them.
+adds the derived values, among them the translation vector the domain
+builds, so it shows every effective parameter and a run can be replayed
+exactly. The dataclass fields are the one statement of that schema:
+config_keys derives the flag set from them, and to_dict and from_dict
+write and read exactly those fields.
 """
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import asdict, dataclass, field, is_dataclass
 
-import numpy as np
-
-from .errors import ConfigError, check_keys, check_type, declared_types
+from .errors import ConfigError, check_keys, check_number, check_type, declared_types
 from .simulator import DomainSpec, ShiftSpec
 
 LOSS_MODES = ("both", "contrastive_only", "kld_only", "none")
@@ -32,12 +33,6 @@ DEFAULT_LR = 3e-5
 _KEY_OF_FIELD = {"lam": "lambda"}
 _FIELD_OF_KEY = {v: k for k, v in _KEY_OF_FIELD.items()}
 
-# The scalar key that stands in for the array domain.shift_translation.
-_SCALE_PATH = ("domain", "translation_scale")
-
-# The value types of scalar config keys; fields of other types have no key.
-_SCALARS = (bool, int, float, str)
-
 
 @dataclass
 class RunConfig:
@@ -51,7 +46,7 @@ class RunConfig:
             class_sep=6.0,
             rotation_seed=1,
             rotation_strength=2.0,
-            shift_translation=None,
+            translation_scale=2.0,
             noise_sigma_source=1.0,
             noise_sigma_target=1.6,
         )
@@ -81,18 +76,17 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         for path, typ, nullable in config_keys():
-            if path != _SCALE_PATH:  # resolved into shift_translation, not stored
-                owner = functools.reduce(getattr, path[:-1], self)
-                check_type(getattr(owner, field_name(path[-1])), typ, nullable, ".".join(path),
-                           ConfigError)
+            owner = functools.reduce(getattr, path[:-1], self)
+            _check_value(getattr(owner, field_name(path[-1])), typ, nullable, ".".join(path))
         if self.shift.n_source_classes < 2:
             raise ConfigError("need at least 2 source classes")
         if self.fd < 1 or self.fd_r < 1:
             raise ConfigError("feature dimensions must be positive")
         if self.n_b < 4:
             raise ConfigError("batch size must be at least 4 (threshold calibration)")
-        if self.n_batches < 1:
-            raise ConfigError("n_batches must be positive")
+        for name in ("n_batches", "source_epochs", "n_source_train", "n_source_holdout"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
         if not 0.0 < self.p_reject < 100.0:
             raise ConfigError("p_reject must lie in (0, 100)")
         if self.n_init < 1:
@@ -117,7 +111,6 @@ class RunConfig:
         doc = asdict(self)
         for name, key in _KEY_OF_FIELD.items():
             doc[key] = doc.pop(name)
-        doc["domain"]["shift_translation"] = self.domain.shift_translation.tolist()
         return doc
 
     def resolved_dict(self) -> dict:
@@ -126,6 +119,7 @@ class RunConfig:
             "n_source_classes": self.shift.n_source_classes,
             "n_total_classes": self.shift.n_total_classes,
             "unknown_marker": self.shift.unknown_marker,
+            "shift_translation": self.domain.translation().tolist(),
         }
         return doc
 
@@ -140,18 +134,16 @@ class RunConfig:
                    ConfigError)
         values = {field_name(k): v for k, v in doc.items()}
         values["shift"] = _section(ShiftSpec, values["shift"], "shift")
-        values["domain"] = _domain_from_dict(values["domain"])
+        values["domain"] = _section(DomainSpec, values["domain"], "domain")
         return cls(**values).validate()
 
 
 @functools.cache
 def config_keys() -> tuple[tuple[tuple[str, ...], type, bool], ...]:
-    """(path, type, nullable) of every scalar config key, in declaration order.
+    """(path, type, nullable) of every config key, in declaration order.
 
     Walks the RunConfig fields and its nested sections under their config
-    names. A `T | None` field has type T and is nullable; array fields have
-    no key. The scalar domain.translation_scale, which may be left out,
-    stands in for the array domain.shift_translation.
+    names. A `T | None` field has type T and is nullable.
     """
     keys = []
 
@@ -160,11 +152,10 @@ def config_keys() -> tuple[tuple[tuple[str, ...], type, bool], ...]:
             path = prefix + (_KEY_OF_FIELD.get(name, name),)
             if is_dataclass(typ):
                 walk(typ, path)
-            elif typ in _SCALARS:
+            else:
                 keys.append((path, typ, nullable))
 
     walk(RunConfig, ())
-    keys.append((_SCALE_PATH, float, True))
     return tuple(keys)
 
 
@@ -173,48 +164,29 @@ def field_name(key: str) -> str:
     return _FIELD_OF_KEY.get(key, key)
 
 
+def _check_value(value, typ: type, nullable: bool, name: str) -> None:
+    """check_type, and a non-null float must be finite: NaN passes every
+    range check in validate."""
+    check_type(value, typ, nullable, name, ConfigError)
+    if typ is float and value is not None:
+        check_number(value, typ, -math.inf, name, ConfigError)
+
+
 def _section(cls, doc, name: str):
     """The dataclass of a nested config section, built once its keys and
-    scalar value types are checked."""
+    values are checked."""
     check_keys(doc, declared_types(cls), name, ConfigError)
     for key, (typ, nullable) in declared_types(cls).items():
-        if typ in _SCALARS:
-            check_type(doc[key], typ, nullable, f"{name}.{key}", ConfigError)
+        _check_value(doc[key], typ, nullable, f"{name}.{key}")
     try:
         return cls(**doc)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
 
-def _domain_from_dict(doc) -> DomainSpec:
-    """The domain section, where translation_scale may stand in for shift_translation."""
-    if not (isinstance(doc, dict) and "translation_scale" in doc):
-        return _section(DomainSpec, doc, "domain")
-    doc = dict(doc)
-    scale = doc.pop("translation_scale")
-    check_type(scale, float, True, ".".join(_SCALE_PATH), ConfigError)
-    if "shift_translation" in doc:
-        raise ConfigError("give either shift_translation or translation_scale, not both")
-    dom = _section(DomainSpec, dict(doc, shift_translation=None), "domain")
-    if scale is not None:
-        dom.shift_translation = resolve_translation(dom, float(scale))
-    return dom
-
-
-def resolve_translation(dom: DomainSpec, scale: float) -> np.ndarray:
-    """Translation vector of the given length along a seeded direction."""
-    if scale == 0.0:
-        return np.zeros(dom.d_in)
-    rng = np.random.default_rng(np.random.SeedSequence([dom.rotation_seed or 0, 7]))
-    v = rng.standard_normal(dom.d_in)
-    return scale * v / np.linalg.norm(v)
-
-
 def default_config() -> RunConfig:
     """Default desk-scale OPDA task (12 classes split 6/3/3)."""
-    cfg = RunConfig()
-    cfg.domain.shift_translation = resolve_translation(cfg.domain, 2.0)
-    return cfg.validate()
+    return RunConfig().validate()
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -227,22 +199,10 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config is not valid JSON: {err}") from err
         check_type(user, dict, False, f"config {path}", ConfigError)
-        _reconcile_translation(doc, user)
         doc = _merge(doc, user)
     if overrides:
-        _reconcile_translation(doc, overrides)
         doc = _merge(doc, overrides)
     return RunConfig.from_dict(doc)
-
-
-def _reconcile_translation(base: dict, update: dict) -> None:
-    """A translation_scale in an update supersedes the baked-in vector."""
-    dom, base_dom = update.get("domain"), base.get("domain")
-    if isinstance(dom, dict) and isinstance(base_dom, dict):
-        if "translation_scale" in dom:
-            base_dom.pop("shift_translation", None)
-        elif "shift_translation" in dom:
-            base_dom.pop("translation_scale", None)
 
 
 def _merge(base: dict, update: dict) -> dict:

@@ -71,14 +71,15 @@ class DomainSpec:
 
     rotation_seed None means the identity rotation; otherwise a seeded
     skew-symmetric generator is exponentiated, with rotation_strength
-    scaling the angle (0 recovers the identity smoothly).
+    scaling the angle (0 recovers the identity smoothly). The translation
+    has length translation_scale along a direction seeded by rotation_seed.
     """
 
     d_in: int
     class_sep: float
     rotation_seed: int | None = None
     rotation_strength: float = 1.0
-    shift_translation: np.ndarray | None = None
+    translation_scale: float = 0.0
     noise_sigma_source: float = 1.0
     noise_sigma_target: float = 1.0
 
@@ -87,12 +88,6 @@ class DomainSpec:
             raise ValueError("class_sep must be positive")
         if self.noise_sigma_source <= 0 or self.noise_sigma_target <= 0:
             raise ValueError("noise sigmas must be positive")
-        if self.shift_translation is None:
-            self.shift_translation = np.zeros(self.d_in)
-        else:
-            self.shift_translation = np.asarray(self.shift_translation, dtype=np.float64)
-            if self.shift_translation.shape != (self.d_in,):
-                raise ValueError("shift_translation must have length d_in")
 
     def rotation(self) -> np.ndarray:
         if self.rotation_seed is None or self.rotation_strength == 0.0:
@@ -106,6 +101,13 @@ class DomainSpec:
         skew = (a - a.T) / 2.0
         skew *= 1.0 / np.linalg.norm(skew, 2)  # unit spectral norm generator
         return expm(self.rotation_strength * skew)
+
+    def translation(self) -> np.ndarray:
+        if self.translation_scale == 0.0:
+            return np.zeros(self.d_in)
+        rng = np.random.default_rng(np.random.SeedSequence([self.rotation_seed or 0, 7]))
+        v = rng.standard_normal(self.d_in)
+        return self.translation_scale * v / np.linalg.norm(v)
 
 
 @dataclass
@@ -222,7 +224,7 @@ def make_task(
 
     rot = dom.rotation()
     target_classes = shift.target_classes()
-    shifted_centers = centers @ rot.T + dom.shift_translation
+    shifted_centers = centers @ rot.T + dom.translation()
 
     n_target = n_batches * batch_size
     pick = tgt_rng.integers(0, target_classes.size, size=n_target)

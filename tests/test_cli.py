@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gmmadapt.cli import _collect_overrides, build_parser, main
-from gmmadapt.config import load_config
+from gmmadapt.config import config_keys, load_config
 from gmmadapt.errors import NotPositiveDefinite
 from gmmadapt.gmm_stream import GaussianMixtureStream
 
@@ -66,6 +66,7 @@ CONFIG_FLAGS = [
     "--source-epochs", "--source-lr", "--temperature", "--unknown-positive-pairs",
 ]
 HELP = ["--help", "-h"]
+FLOAT_KEYS = [path for path, typ, _ in config_keys() if typ is float]
 PINNED_OPTIONS = {
     "train-source": sorted(CONFIG_FLAGS + HELP + ["--out"]),
     "adapt": sorted(CONFIG_FLAGS + HELP + ["--out", "--model"]),
@@ -93,14 +94,15 @@ ALL_FLAGS_ARGV = [
 ALL_FLAGS_RESOLVED = (
     '{"seed": 7, "shift": {"kind": "PDA", "n_shared": 4, "n_source_private": 2, '
     '"n_target_private": 0}, "domain": {"d_in": 6, "class_sep": 4.0, "rotation_seed": 3, '
-    '"rotation_strength": 2.0, "shift_translation": [-0.4217986620036601, -0.4683448872171185, '
-    '0.06047643691005702, -0.20710399605156787, -0.5763721628793833, 0.8868396814562283], '
-    '"noise_sigma_source": 0.9, "noise_sigma_target": 1.4}, "fd": 128, "fd_r": 16, "n_b": 32, '
+    '"rotation_strength": 2.0, "translation_scale": 1.25, "noise_sigma_source": 0.9, '
+    '"noise_sigma_target": 1.4}, "fd": 128, "fd_r": 16, "n_b": 32, '
     '"n_batches": 50, "p_reject": 40.0, "n_init": 10, "temperature": 0.2, "lr": 0.0001, '
     '"momentum": 0.8, "loss_mode": "kld_only", "unknown_positive_pairs": true, '
     '"augment_sigma": 0.05, "jitter": 0.01, "source_epochs": 3, "source_lr": 0.05, '
     '"n_source_train": 1000, "n_source_holdout": 200, "lambda": 0.5, '
-    '"derived": {"n_source_classes": 6, "n_total_classes": 6, "unknown_marker": 6}}'
+    '"derived": {"n_source_classes": 6, "n_total_classes": 6, "unknown_marker": 6, '
+    '"shift_translation": [-0.4217986620036601, -0.4683448872171185, 0.06047643691005702, '
+    '-0.20710399605156787, -0.5763721628793833, 0.8868396814562283]}}'
 )
 
 
@@ -293,6 +295,35 @@ class TestAdaptCommand:
         assert err == f"config error: config {config} must be dict, got {doc!r}\n"
         assert not out.exists()
 
+    def test_input_dimension_flag_alone(self, tmp_path):
+        # no translation_scale given: the default scale at the new length
+        out = tmp_path / "run"
+        assert main(["adapt", "--domain-d-in", "12", "--out", str(out), "--fd", "16",
+                     "--fd-r", "4", "--n-b", "8", "--n-batches", "3", "--n-init", "2",
+                     "--source-epochs", "1", "--n-source-train", "100",
+                     "--n-source-holdout", "20"]) == 0
+        resolved = json.loads((out / "config.resolved.json").read_text())
+        assert resolved["domain"]["d_in"] == 12
+        assert len(resolved["derived"]["shift_translation"]) == 12
+        assert np.linalg.norm(resolved["derived"]["shift_translation"]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", FLOAT_KEYS, ids=[".".join(p) for p in FLOAT_KEYS])
+    def test_non_finite_float_flag_is_config_error(self, tmp_path, capsys, path, value):
+        out = tmp_path / "run"
+        flag = "--" + "-".join(path).replace("_", "-")
+        assert main(["adapt", f"{flag}={value}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {'.'.join(path)} must be finite, got {float(value)!r}\n")
+        assert not out.exists()
+
+    def test_zero_source_epochs_is_config_error(self, tmp_path, small_config, capsys):
+        ckpt = tmp_path / "source.ckpt"
+        assert main(["train-source", "--config", str(small_config), "--out", str(ckpt),
+                     "--source-epochs", "0"]) == 2
+        assert capsys.readouterr().err == "config error: source_epochs must be positive\n"
+        assert not ckpt.exists()
+
     def test_env_var_output_root(self, tmp_path, small_config, monkeypatch):
         monkeypatch.setenv("GMMADAPT_RUNS", str(tmp_path / "root"))
         assert main(["adapt", "--config", str(small_config)]) == 0
@@ -407,6 +438,20 @@ class TestMalformedRunFiles:
                                 fragment)
 
 
+    def test_replay_of_config_with_translation_vector(self, tmp_path, small_run, capsys):
+        # the domain section as earlier versions wrote it: the vector in
+        # place of translation_scale
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        path = run_dir / "config.resolved.json"
+        doc = json.loads(path.read_text())
+        del doc["domain"]["translation_scale"]
+        doc["domain"]["shift_translation"] = doc["derived"].pop("shift_translation")
+        path.write_text(json.dumps(doc))
+        self._assert_file_error(capsys, ["replay", str(run_dir)], "config.resolved.json:",
+                                "domain keys: missing ['translation_scale'], "
+                                "unexpected ['shift_translation']")
+
     def test_replay_of_truncated_config(self, tmp_path, small_run, capsys):
         run_dir = tmp_path / "run"
         shutil.copytree(small_run / "run", run_dir)
@@ -426,28 +471,28 @@ class TestReplayCommand:
 
 # sha256 of every file a small sweep writes, cell directories and sweep.csv.
 P_REJECT_SWEEP_PINS = {
-    "p_reject=40_rep0/config.resolved.json": "4b2dc2bd2071666907514c7c866d97da404679f3421f54a1f036c6dcd9d67642",
+    "p_reject=40_rep0/config.resolved.json": "e57c1037489108b1220da0a01eafaa179b4d1b5a2d8c6ced5abc20e38bf68954",
     "p_reject=40_rep0/gmm.ckpt": "1757131169bb98871488c40df5f62bdc9c07d43f80f5d5e53ae5ecf311d4ce1d",
     "p_reject=40_rep0/metrics.csv": "a768b9bbae8d15dbd543ab56a0f8cb084f234e4a4429276649f5f2a0b1b74367",
     "p_reject=40_rep0/metrics.jsonl": "0170bfc72f8f617cbbd3af12384340277547a34c3a6117e2ffbc3bf45421a591",
     "p_reject=40_rep0/model.ckpt": "b15269c8753e9f6334298e67d4d9cc4831e60d3485fe00e6ad0037b0ab694c62",
     "p_reject=40_rep0/summary.json": "c15822288239397c9ca1b11af1ce57ee8dae3caa04c9b6e898f86ad1872286bb",
     "p_reject=40_rep0/thresholds.csv": "684429c96b97ad1c178185646bd08ffd12632f60f255e9ea1a2b1bf2f37b7981",
-    "p_reject=40_rep1/config.resolved.json": "dc93ac39c20515a8a1a512ba2f303303deac65e2dfc7f4795e05e775ec2d5725",
+    "p_reject=40_rep1/config.resolved.json": "3eabb8a8ec98078fd5667d066af79dcf664bbaa3f79d2ee7111c050f327d9942",
     "p_reject=40_rep1/gmm.ckpt": "649ac0e9fb954fa5324cd1d7bd89f1be27e2c51aceb9d0851e4097cffa91faed",
     "p_reject=40_rep1/metrics.csv": "10381a6f3eb927fe5248bb06aad131031272d72dd6a0592bcab1bbfa98c80591",
     "p_reject=40_rep1/metrics.jsonl": "0d54e1347c8873f114f6c36185fb1e98ccaed7e9c0e89edfdf24ede53bb1d9cf",
     "p_reject=40_rep1/model.ckpt": "5d0ff154dab28a309e00bf376104a6a7625af201b60153cfad362a28661ebb33",
     "p_reject=40_rep1/summary.json": "8c3fdac3d783da2e4b6af9149bc1622b0cc523fe6d08fc0efca739a223ed2092",
     "p_reject=40_rep1/thresholds.csv": "129677ef02cdd4512ef32c11209b1f3da05eec725f73ae8541730cdd59d93a3a",
-    "p_reject=60.5_rep0/config.resolved.json": "1a79f5a2903efc585916d099c0eeb16f7b04a18c52688953fa84c02a41a57ea0",
+    "p_reject=60.5_rep0/config.resolved.json": "4cf600e600c096b5cf382ebd4f4e8957922de28f9b8e5736a29cc409a12adbd8",
     "p_reject=60.5_rep0/gmm.ckpt": "d6bc3594a884e74297c6a8c6bacd26e09aa33e3322bd98baed618d41a49c9bc6",
     "p_reject=60.5_rep0/metrics.csv": "79ec21120e46efd2c07d2e1684b631a9ecb5583614fc0de9d036b7e46754e381",
     "p_reject=60.5_rep0/metrics.jsonl": "2619040cb27f567c2c4cdde5cadac43fbcd928d58a3c190b8bcd69bc7f9427c8",
     "p_reject=60.5_rep0/model.ckpt": "05797899702fb41bdd639091e01e4b45875aef69f8e5ed9e7d1474cc85a05a55",
     "p_reject=60.5_rep0/summary.json": "02b9f4445fe5a4d9a3891df475f4e53b7a12985bea788b619d7d13aba1431277",
     "p_reject=60.5_rep0/thresholds.csv": "6dced73c19c254921799ccb26a4a36456c2fa01c59d291a07d69038fbecf0e78",
-    "p_reject=60.5_rep1/config.resolved.json": "0cd01615d0040404214a193290d0b5dbefcaa7bab4f20c437731a85c3095ff34",
+    "p_reject=60.5_rep1/config.resolved.json": "ce19b19c6790320740301e6cec6d2dcb43310287165612a49ce190ec6592f5b8",
     "p_reject=60.5_rep1/gmm.ckpt": "4f284f43d7464e23f2c4b764bbea61b30eb0692e4b5fb153ee12abddcfb3f850",
     "p_reject=60.5_rep1/metrics.csv": "0b27ec7e93c25b96ca27ebd6bac6a70c82595c11a14916bb76827db66238d5f3",
     "p_reject=60.5_rep1/metrics.jsonl": "e06b6b6ad5527442d153893650b740364d0030fa1b4766b7ad9c0fcf147e5179",
@@ -457,14 +502,14 @@ P_REJECT_SWEEP_PINS = {
     "sweep.csv": "f9f27d6cd0f199a80c80726adc7cf38c1870c86ced5b2f32fd22803cd2ef7a34",
 }
 FD_R_SWEEP_PINS = {
-    "fd_r=6_rep0/config.resolved.json": "df73febab32c6c521d4cc5f3da7e02ab2e1845ef765679ee20a05522987a6f11",
+    "fd_r=6_rep0/config.resolved.json": "0f7b0d25aff2fd9f55de99a7a2aa2b295c7e172a45d057d6499500942dd0df83",
     "fd_r=6_rep0/gmm.ckpt": "852c562a102d5b3b204dde51c3400ff63afa25c4f0f80d5fe7984b69af3817a8",
     "fd_r=6_rep0/metrics.csv": "e5dc4020ad00e41b88b642f355876429407c8120eae7a0906587191263abc42b",
     "fd_r=6_rep0/metrics.jsonl": "7845725bcbf276bcf258c5c58e3744ac82361b6bbe748500444796bbb3a2e7ba",
     "fd_r=6_rep0/model.ckpt": "6c16478ee1dc826a1a7da7943355cd7a0e923139df811ade1a2d4b24f5986bbe",
     "fd_r=6_rep0/summary.json": "628ad15128de1a73313e81709ed99a65e90df970a31beb65f00c80cf000f02f9",
     "fd_r=6_rep0/thresholds.csv": "15465d3f6a06f3ea1234ead5b6621f6a97debb4ecd97c07e1d029d676700973c",
-    "fd_r=8_rep0/config.resolved.json": "333c401b506f4462ffc45be28fd0c20956171eeefd84c7de9d17333923b3e44b",
+    "fd_r=8_rep0/config.resolved.json": "d58451e14b8f15eef58fdc13db2ed62482142853ea24607c3122c493fd01008c",
     "fd_r=8_rep0/gmm.ckpt": "68b1b836cd92cab80b6ba6b20491b34a35e6cfe8adc2b4ba33ddc5af323d50c0",
     "fd_r=8_rep0/metrics.csv": "400cb449ac63fd8d7107a1ed4ca0574f066f2ccc579bcdc95d437981e29e1b5a",
     "fd_r=8_rep0/metrics.jsonl": "ec3f20e7ab7901f18a53fe98ecd1af49ee605fd6aec102951a473d592fd2526a",
@@ -508,6 +553,13 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(small_config), "--out", str(out),
                      "--parameter", "fd_r", "--values", "6,8", "--n-batches", "6"]) == 0
         assert _tree_digests(out) == FD_R_SWEEP_PINS
+
+    def test_non_finite_value_fails_before_any_cell(self, tmp_path, small_config, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--parameter", "temperature", "--values", "0.1,nan"]) == 2
+        assert capsys.readouterr().err == "config error: temperature must be finite, got nan\n"
+        assert not out.exists()
 
     def test_batch_size_sweep_with_compensation(self, tmp_path, small_config):
         out = tmp_path / "sweep"

@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmmadapt.config import RunConfig, default_config, load_config, resolve_translation
+from gmmadapt.config import RunConfig, config_keys, default_config, load_config
 from gmmadapt.errors import ConfigError
 
 
@@ -51,7 +53,27 @@ class TestLoadConfig:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"domain": {"translation_scale": 3.0}}))
         cfg = load_config(str(path))
-        assert np.linalg.norm(cfg.domain.shift_translation) == pytest.approx(3.0)
+        assert cfg.domain.translation_scale == 3.0
+        assert np.linalg.norm(cfg.domain.translation()) == pytest.approx(3.0)
+        np.testing.assert_array_equal(cfg.resolved_dict()["derived"]["shift_translation"],
+                                      cfg.domain.translation())
+
+    def test_translation_follows_seed_and_length(self):
+        # a config overriding d_in or rotation_seed alone gets the default
+        # scale along its own seeded direction, at its own length
+        default = default_config().domain.translation()
+        for override in ({"d_in": 12}, {"rotation_seed": 5}):
+            dom = load_config(None, {"domain": override}).domain
+            t = dom.translation()
+            assert t.shape == (dom.d_in,)
+            assert np.linalg.norm(t) == pytest.approx(2.0)
+            assert not np.array_equal(t, default)
+
+    def test_translation_vector_key_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"domain": {"shift_translation": [0.0] * 20}}))
+        with pytest.raises(ConfigError, match=r"unexpected \['shift_translation'\]"):
+            load_config(str(path))
 
     def test_lambda_key_mapping(self, tmp_path):
         path = tmp_path / "run.json"
@@ -98,9 +120,16 @@ class TestValidation:
             RunConfig.from_dict(doc)
 
     def test_resolve_translation_zero_scale(self):
-        cfg = default_config()
-        np.testing.assert_array_equal(resolve_translation(cfg.domain, 0.0),
-                                      np.zeros(cfg.domain.d_in))
+        cfg = load_config(None, {"domain": {"translation_scale": 0.0}})
+        np.testing.assert_array_equal(cfg.domain.translation(), np.zeros(cfg.domain.d_in))
+
+    @pytest.mark.parametrize("key", ["source_epochs", "n_source_train", "n_source_holdout"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_setup_counts_must_be_positive(self, key, value):
+        doc = default_config().to_dict()
+        doc[key] = value
+        with pytest.raises(ConfigError, match=f"^{key} must be positive$"):
+            RunConfig.from_dict(doc)
 
 
 def load_doc(tmp_path, doc):
@@ -155,3 +184,36 @@ class TestValueTypes:
     def test_optional_key_message_names_null(self, tmp_path):
         with pytest.raises(ConfigError, match="augment_sigma must be float or null, got '0.1'"):
             load_doc(tmp_path, {"augment_sigma": "0.1"})
+
+
+FLOAT_KEYS = [path for path, typ, _ in config_keys() if typ is float]
+
+
+def with_value(path, value) -> dict:
+    """A partial config document holding value at path."""
+    doc = value
+    for key in reversed(path):
+        doc = {key: doc}
+    return doc
+
+
+class TestFiniteFloats:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("path", FLOAT_KEYS, ids=[".".join(p) for p in FLOAT_KEYS])
+    def test_non_finite_float_rejected_in_file(self, tmp_path, path, value):
+        # json writes NaN and Infinity, and reads them back as floats
+        with pytest.raises(ConfigError, match=f"^{'.'.join(path)} must be finite, got"):
+            load_doc(tmp_path, with_value(path, value))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_example_is_the_default_config(tmp_path):
+    example = re.search(r"```jsonc\n(.*?)```", README.read_text(), re.S).group(1)
+    doc = json.loads(re.sub(r"//[^\n]*", "", example))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    assert doc == default_config().to_dict()
+    assert load_config(str(path)).to_dict() == default_config().to_dict()

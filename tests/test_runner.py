@@ -58,7 +58,6 @@ class TestSetupKey:
         base = load_config(None, TINY)
         base_key, base_digest = runner.setup_key(base), setup_digest(base)
         values = base.to_dict()
-        values["domain"]["translation_scale"] = TINY["domain"]["translation_scale"]
         inside = []
         for path, typ, _ in config_keys():
             value = functools.reduce(dict.__getitem__, path, values)

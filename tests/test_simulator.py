@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmmadapt.errors import InvalidSplit
 from gmmadapt.simulator import DomainSpec, ShiftSpec, class_centers, make_task
@@ -51,9 +53,18 @@ class TestDomainSpec:
         r = dom.rotation()
         np.testing.assert_allclose(r @ r.T, np.eye(10), atol=1e-12)
 
-    def test_translation_length_checked(self):
-        with pytest.raises(ValueError):
-            default_domain(shift_translation=np.zeros(3))
+    @settings(max_examples=60, deadline=None)
+    @given(d_in=st.integers(1, 64),
+           scale=st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+           rotation_seed=st.none() | st.integers(0, 2**32 - 1))
+    def test_translation_length_and_norm(self, d_in, scale, rotation_seed):
+        dom = default_domain(d_in=d_in, translation_scale=scale, rotation_seed=rotation_seed)
+        t = dom.translation()
+        assert t.shape == (d_in,)
+        if scale == 0.0:
+            np.testing.assert_array_equal(t, np.zeros(d_in))
+        else:
+            assert np.linalg.norm(t) == pytest.approx(abs(scale), rel=1e-12)
 
 
 class TestClassCenters:
@@ -108,7 +119,7 @@ class TestMakeTask:
 
     def test_same_seed_identical_stream(self):
         shift = ShiftSpec("OPDA", 3, 2, 2)
-        dom = default_domain(rotation_seed=4, shift_translation=np.ones(10))
+        dom = default_domain(rotation_seed=4, translation_scale=3.0)
         a = list(make_task(shift, dom, seed=7, n_batches=5, batch_size=16)[1])
         b = list(make_task(shift, dom, seed=7, n_batches=5, batch_size=16)[1])
         for ba, bb in zip(a, b):
@@ -161,7 +172,7 @@ class TestNullShiftSanityAnchor:
         cfg = default_config()
         cfg.domain.rotation_seed = None
         cfg.domain.rotation_strength = 0.0
-        cfg.domain.shift_translation = np.zeros(cfg.domain.d_in)
+        cfg.domain.translation_scale = 0.0
         cfg.domain.noise_sigma_target = cfg.domain.noise_sigma_source
         source, stream = build_task(cfg)
         model, holdout_acc, _ = train_source_model(cfg, source)
