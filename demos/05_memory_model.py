@@ -7,16 +7,17 @@ the plot-ready data for the ratio curves against the class count.
 """
 from gmmadapt import MemoryModelInputs, memory_report
 
-FD, FD_R, QUEUE, TEACHER = 256, 64, 55388, 24_000_000
+PAPER = MemoryModelInputs()  # fd 256, fd_r 64, queue 55,388, teacher 24,000,000
 
-print(f"fd={FD} fd_r={FD_R} queue_len={QUEUE} teacher_params={TEACHER:,}\n")
+print(f"fd={PAPER.fd} fd_r={PAPER.fd_r} queue_len={PAPER.queue_len} "
+      f"teacher_params={PAPER.teacher_params:,}\n")
 print(f"{'classes':>8} {'n_gmm':>10} {'n_queue':>12} {'vs queue':>9} {'vs teacher':>10}")
 for n_classes in (1, 12, 50, 150, 345):
-    rep = memory_report(MemoryModelInputs(FD, FD_R, n_classes, QUEUE, TEACHER))
+    rep = memory_report(PAPER, n_classes)
     print(f"{n_classes:>8} {rep.n_gmm:>10,} {rep.n_queue:>12,} "
           f"{rep.ratio_queue:>8.2%} {rep.ratio_teacher:>9.2%}")
 
-rep = memory_report(MemoryModelInputs(FD, FD_R, 345, QUEUE, TEACHER))
+rep = memory_report(PAPER, 345)
 print(f"\neven at 345 classes the mixture needs only {rep.ratio_queue:.1%} of the "
       f"queue's memory and {rep.ratio_teacher:.1%} of the teacher's.")
 print("the footprint is independent of how many batches were processed.")

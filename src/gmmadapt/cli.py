@@ -23,6 +23,7 @@ from .metrics import MemoryModelInputs, csv_text
 from .runner import (
     MEMORY_COLUMNS,
     build_task,
+    prepare_setup,
     replay,
     resolve_output_dir,
     run_adapt,
@@ -94,10 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="scale n_init to keep n_init*n_b constant (batch-size sweeps)")
 
     p_mem = sub.add_parser("memory", help="closed-form memory comparison table")
-    p_mem.add_argument("--fd", type=int, default=256)
-    p_mem.add_argument("--fd-r", type=int, default=64)
-    p_mem.add_argument("--queue-len", type=int, default=55388)
-    p_mem.add_argument("--teacher-params", type=int, default=24_000_000)
+    for name, default in vars(MemoryModelInputs()).items():
+        p_mem.add_argument(_flag((name,)), type=type(default), default=default)
     p_mem.add_argument("--classes", default="1:345",
                        help="inclusive class-count span lo:hi, or a single count")
     p_mem.add_argument("--out", help="CSV path (default stdout only)")
@@ -139,7 +138,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "adapt":
         cfg = _load(args)
         out_dir = resolve_output_dir(args.out, "adapt")
-        summary = run_adapt(cfg, out_dir, model_path=args.model)
+        summary = run_adapt(cfg, out_dir, setup=prepare_setup(cfg, args.model))
         primary = summary["full_run"]["primary_metric"]
         print(f"run directory: {out_dir}")
         print(f"primary metric ({cfg.shift.kind}): {primary:.4f}")
@@ -159,8 +158,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "memory":
         lo, hi = _parse_span(args.classes)
-        inputs = MemoryModelInputs(args.fd, args.fd_r, max(lo, 1), args.queue_len,
-                                   args.teacher_params)
+        inputs = MemoryModelInputs(*(getattr(args, name) for name in vars(MemoryModelInputs())))
         text = csv_text(run_memory(inputs, lo, hi), MEMORY_COLUMNS)
         if args.out:
             Path(args.out).write_text(text)

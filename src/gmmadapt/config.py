@@ -7,17 +7,17 @@ underscores replaced by dashes (nested keys join their path, e.g.
 adds the derived values, among them the translation vector the domain
 builds, so it shows every effective parameter and a run can be replayed
 exactly. The dataclass fields are the one statement of that schema:
-config_keys derives the flag set from them, and to_dict and from_dict
-write and read exactly those fields.
+config_keys derives the flag set from them, to_dict writes them, and
+from_dict reads them with errors.read_dataclass. validate reads a config
+back through from_dict, and slots bar setting a misspelt field.
 """
 from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-from .errors import ConfigError, check_keys, check_number, check_type, declared_types
+from .errors import ConfigError, check_type, declared_types, read_dataclass
 from .simulator import DomainSpec, ShiftSpec
 
 LOSS_MODES = ("both", "contrastive_only", "kld_only", "none")
@@ -34,7 +34,7 @@ _KEY_OF_FIELD = {"lam": "lambda"}
 _FIELD_OF_KEY = {v: k for k, v in _KEY_OF_FIELD.items()}
 
 
-@dataclass
+@dataclass(slots=True)
 class RunConfig:
     seed: int = 0
     shift: ShiftSpec = field(
@@ -75,36 +75,12 @@ class RunConfig:
     n_source_holdout: int = 900
 
     def validate(self) -> "RunConfig":
-        for path, typ, nullable in config_keys():
-            owner = functools.reduce(getattr, path[:-1], self)
-            _check_value(getattr(owner, field_name(path[-1])), typ, nullable, ".".join(path))
-        if self.shift.n_source_classes < 2:
-            raise ConfigError("need at least 2 source classes")
-        if self.fd < 1 or self.fd_r < 1:
-            raise ConfigError("feature dimensions must be positive")
-        if self.n_b < 4:
-            raise ConfigError("batch size must be at least 4 (threshold calibration)")
-        for name in ("n_batches", "source_epochs", "n_source_train", "n_source_holdout"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 < self.p_reject < 100.0:
-            raise ConfigError("p_reject must lie in (0, 100)")
-        if self.n_init < 1:
-            raise ConfigError("n_init must be positive")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if self.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
-        if self.lr <= 0 or self.source_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
-        if self.jitter < 0:
-            raise ConfigError("jitter must be nonnegative")
-        if self.augment_sigma is not None and self.augment_sigma < 0:
-            raise ConfigError("augment_sigma must be nonnegative")
+        """self, once it reads back as itself through from_dict: a config
+        edited in place is checked by the same rule as a file."""
+        read = RunConfig.from_dict(self.to_dict())
+        if read != self:
+            wrong = [f.name for f in fields(self) if getattr(read, f.name) != getattr(self, f.name)]
+            raise ConfigError(f"config does not read back as itself: {wrong} differ")
         return self
 
     def to_dict(self) -> dict:
@@ -127,15 +103,38 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Config from a complete document, as to_dict or resolved_dict
         write it (its derived section is ignored); ConfigError names a
-        missing, unknown or mistyped key."""
+        missing, unknown, mistyped or out-of-range key."""
         if isinstance(doc, dict):
             doc = {k: v for k, v in doc.items() if k != "derived"}
-        check_keys(doc, [_KEY_OF_FIELD.get(f, f) for f in declared_types(cls)], "config",
-                   ConfigError)
-        values = {field_name(k): v for k, v in doc.items()}
-        values["shift"] = _section(ShiftSpec, values["shift"], "shift")
-        values["domain"] = _section(DomainSpec, values["domain"], "domain")
-        return cls(**values).validate()
+        cfg = read_dataclass(cls, doc, "config", ConfigError, _KEY_OF_FIELD)
+        if cfg.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if cfg.shift.n_source_classes < 2:
+            raise ConfigError("need at least 2 source classes")
+        if cfg.fd < 1 or cfg.fd_r < 1:
+            raise ConfigError("feature dimensions must be positive")
+        if cfg.n_b < 4:
+            raise ConfigError("batch size must be at least 4 (threshold calibration)")
+        for name in ("n_batches", "n_init", "source_epochs", "n_source_train", "n_source_holdout"):
+            if getattr(cfg, name) < 1:
+                raise ConfigError(f"{name} must be positive")
+        if not 0.0 < cfg.p_reject < 100.0:
+            raise ConfigError("p_reject must lie in (0, 100)")
+        if cfg.temperature <= 0:
+            raise ConfigError("temperature must be positive")
+        if cfg.lam < 0:
+            raise ConfigError("lambda must be nonnegative")
+        if cfg.lr <= 0 or cfg.source_lr <= 0:
+            raise ConfigError("learning rates must be positive")
+        if not 0.0 <= cfg.momentum < 1.0:
+            raise ConfigError("momentum must lie in [0, 1)")
+        if cfg.loss_mode not in LOSS_MODES:
+            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
+        if cfg.jitter < 0:
+            raise ConfigError("jitter must be nonnegative")
+        if cfg.augment_sigma is not None and cfg.augment_sigma < 0:
+            raise ConfigError("augment_sigma must be nonnegative")
+        return cfg
 
 
 @functools.cache
@@ -162,26 +161,6 @@ def config_keys() -> tuple[tuple[tuple[str, ...], type, bool], ...]:
 def field_name(key: str) -> str:
     """RunConfig field behind a top-level config key."""
     return _FIELD_OF_KEY.get(key, key)
-
-
-def _check_value(value, typ: type, nullable: bool, name: str) -> None:
-    """check_type, and a non-null float must be finite: NaN passes every
-    range check in validate."""
-    check_type(value, typ, nullable, name, ConfigError)
-    if typ is float and value is not None:
-        check_number(value, typ, -math.inf, name, ConfigError)
-
-
-def _section(cls, doc, name: str):
-    """The dataclass of a nested config section, built once its keys and
-    values are checked."""
-    check_keys(doc, declared_types(cls), name, ConfigError)
-    for key, (typ, nullable) in declared_types(cls).items():
-        _check_value(doc[key], typ, nullable, f"{name}.{key}")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(str(err)) from err
 
 
 def default_config() -> RunConfig:

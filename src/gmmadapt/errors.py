@@ -1,5 +1,7 @@
 """Exception types shared across the library, and the one rule by which
-every reader checks a JSON document read back."""
+every reader checks a JSON document read back. Configs and run records
+are read by one function, read_dataclass, which applies that rule to
+each field of a dataclass, nested dataclasses included."""
 import dataclasses
 import functools
 import math
@@ -113,3 +115,29 @@ def declared_types(cls) -> dict[str, tuple[type, bool]]:
         typ = [a for a in args if a is not type(None)]
         out[f.name] = (typ[0], True) if len(typ) < len(args) else (hints[f.name], False)
     return out
+
+
+def read_dataclass(cls, doc, what: str, error: type[GmmAdaptError], key_of=None, prefix=""):
+    """The cls a JSON object describes. Each field is read from its key
+    (key_of maps a field to a key of another name), a dataclass field from
+    a nested object the same way. error reports the keys of an object
+    (named what, a nested one by its path), a value's type, a non-finite
+    float, or the constructor's complaint; a value is named by its path."""
+    key_of = key_of or {}
+    types = declared_types(cls)
+    check_keys(doc, [key_of.get(name, name) for name in types], what, error)
+    values = {}
+    for name, (typ, nullable) in types.items():
+        key = key_of.get(name, name)
+        value, path = doc[key], prefix + key
+        if dataclasses.is_dataclass(typ):
+            value = read_dataclass(typ, value, path, error, key_of, path + ".")
+        else:
+            check_type(value, typ, nullable, path, error)
+            if typ is float and value is not None:
+                check_number(value, typ, -math.inf, path, error)
+        values[name] = value
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as err:
+        raise error(str(err)) from err

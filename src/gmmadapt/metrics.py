@@ -9,7 +9,8 @@ zeros, so averages are not poisoned.
 Records are emitted as JSONL (one object per batch, stable key order; each
 row carries a counts sub-object so summaries can be recomputed exactly
 from the file alone) and as a CSV mirror whose columns are RunRecord's
-fields, in order, but the counts.
+fields, in order, but the counts. read_jsonl reads each line back with
+errors.read_dataclass, the reader of configs too.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch, MalformedFile, check_keys, check_type, declared_types
+from .errors import LengthMismatch, MalformedFile, read_dataclass
 from .linalg import packed_size
 from .ood_gate import DISCARDED
 
@@ -33,15 +34,16 @@ def h_score(acc_known: float, acc_unknown: float) -> float:
 
 @dataclass
 class MemoryModelInputs:
-    fd: int
-    fd_r: int
-    n_classes: int
-    queue_len: int
-    teacher_params: int
+    """The sizes the memory table reads, by default the paper's."""
+
+    fd: int = 256
+    fd_r: int = 64
+    queue_len: int = 55_388
+    teacher_params: int = 24_000_000
 
     def __post_init__(self):
-        for name in ("fd", "fd_r", "n_classes", "queue_len", "teacher_params"):
-            if getattr(self, name) <= 0:
+        for name, value in vars(self).items():
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
 
 
@@ -54,15 +56,18 @@ class MemoryReport:
     ratio_teacher: float
 
 
-def memory_report(m: MemoryModelInputs) -> MemoryReport:
-    """Stored-value counts of the three cross-batch memories and their ratios.
+def memory_report(m: MemoryModelInputs, n_classes: int) -> MemoryReport:
+    """Stored-value counts of the three cross-batch memories at n_classes
+    classes, and their ratios.
 
     Mixture: per class a mean (fd_r), a packed covariance triangle
     (fd_r(fd_r+1)/2) and one weight. Queue: features plus classifier
     outputs for queue_len samples. Teacher: one parameter copy.
     """
-    n_gmm = (m.fd_r + packed_size(m.fd_r) + 1) * m.n_classes
-    n_queue = m.queue_len * (m.fd + m.n_classes)
+    if n_classes < 1:
+        raise ValueError("n_classes must be positive")
+    n_gmm = (m.fd_r + packed_size(m.fd_r) + 1) * n_classes
+    n_queue = m.queue_len * (m.fd + n_classes)
     return MemoryReport(
         n_gmm=n_gmm,
         n_queue=n_queue,
@@ -101,23 +106,6 @@ class RunRecord:
     loss_c: float
     loss_kld: float
     counts: BatchCounts = field(default_factory=BatchCounts)
-
-    def to_json_obj(self) -> dict:
-        obj = {k: getattr(self, k) for k in CSV_COLUMNS}
-        obj["counts"] = vars(self.counts).copy()
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RunRecord":
-        """Inverse of to_json_obj; MalformedFile unless the keys are exactly
-        its keys and each value has its field's type."""
-        check_keys(obj, declared_types(cls), "record", MalformedFile)
-        check_keys(obj["counts"], declared_types(BatchCounts), "counts", MalformedFile)
-        for what, doc, kind in (("record", obj, cls), ("counts", obj["counts"], BatchCounts)):
-            for key, (typ, nullable) in declared_types(kind).items():
-                if typ is not BatchCounts:
-                    check_type(doc[key], typ, nullable, f"{what} {key}", MalformedFile)
-        return cls(**{k: obj[k] for k in CSV_COLUMNS}, counts=BatchCounts(**obj["counts"]))
 
 
 # metrics.csv's columns: RunRecord's fields, in order, but the counts.
@@ -241,7 +229,7 @@ def _mean_or_none(values: list[float]) -> float | None:
 def write_jsonl(records: list[RunRecord], path) -> None:
     with open(path, "w") as fh:
         for r in records:
-            fh.write(json.dumps(r.to_json_obj()) + "\n")
+            fh.write(json.dumps({**vars(r), "counts": vars(r.counts)}) + "\n")
 
 
 def read_jsonl(path) -> list[RunRecord]:
@@ -250,7 +238,8 @@ def read_jsonl(path) -> list[RunRecord]:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    records.append(RunRecord.from_json_obj(json.loads(line)))
+                    records.append(read_dataclass(RunRecord, json.loads(line), "record",
+                                                  MalformedFile))
                 except (json.JSONDecodeError, MalformedFile) as err:
                     raise MalformedFile(f"{path} line {lineno}: {err}") from err
     return records

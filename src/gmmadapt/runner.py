@@ -192,17 +192,17 @@ def resolve_output_dir(explicit: str | None, default_name: str) -> Path:
     return root / default_name
 
 
-def run_adapt(cfg: RunConfig, out_dir: Path, model_path: str | None = None, *,
-              setup: Setup | None = None) -> dict:
+def run_adapt(cfg: RunConfig, out_dir: Path, *, setup: Setup | None = None) -> dict:
     """Full adaptation run: artifacts land in out_dir, summary returned.
 
     setup, when given, must come from prepare_setup for a config with the
-    same setup_key; it is left unchanged. Layout: config.resolved.json,
-    metrics.jsonl, metrics.csv, thresholds.csv, model.ckpt, gmm.ckpt,
-    summary.json.
+    same setup_key, which is how a loaded source model is passed; it is
+    left unchanged. Without it, prepare_setup(cfg) trains the source model.
+    Layout: config.resolved.json, metrics.jsonl, metrics.csv,
+    thresholds.csv, model.ckpt, gmm.ckpt, summary.json.
     """
     if setup is None:
-        setup = prepare_setup(cfg, model_path)
+        setup = prepare_setup(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -329,5 +329,5 @@ def run_memory(inputs: MemoryModelInputs, class_lo: int, class_hi: int) -> list[
     """MEMORY_COLUMNS rows for every class count in [class_lo, class_hi]."""
     if class_lo < 1 or class_hi < class_lo:
         raise GmmAdaptError("class range must satisfy 1 <= lo <= hi")
-    return [{"n_classes": n, **asdict(memory_report(replace(inputs, n_classes=n)))}
+    return [{"n_classes": n, **asdict(memory_report(inputs, n))}
             for n in range(class_lo, class_hi + 1)]

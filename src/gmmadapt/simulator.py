@@ -23,7 +23,7 @@ from .errors import InvalidSplit
 SHIFT_KINDS = ("PDA", "ODA", "OPDA")
 
 
-@dataclass
+@dataclass(slots=True)
 class ShiftSpec:
     """Category-shift class counts: shared / source-private / target-private."""
 
@@ -65,7 +65,7 @@ class ShiftSpec:
         return np.concatenate([shared, private])
 
 
-@dataclass
+@dataclass(slots=True)
 class DomainSpec:
     """Input-space geometry and the affine-plus-noise domain shift.
 
@@ -86,6 +86,8 @@ class DomainSpec:
     def __post_init__(self):
         if self.class_sep <= 0:
             raise ValueError("class_sep must be positive")
+        if self.rotation_seed is not None and self.rotation_seed < 0:
+            raise ValueError("rotation_seed must be null or nonnegative")
         if self.noise_sigma_source <= 0 or self.noise_sigma_target <= 0:
             raise ValueError("noise sigmas must be positive")
 
@@ -177,19 +179,20 @@ def class_centers(n_classes: int, dom: DomainSpec, seed: int) -> np.ndarray:
         raise ValueError("more classes than orthants available")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     min_h = max(1, int(np.ceil(0.4 * dom.d_in)))
-    signs: list[np.ndarray] = []
-    while len(signs) < n_classes:
-        attempts = 0
-        while True:
-            s = rng.integers(0, 2, size=dom.d_in) * 2 - 1
-            if all(np.sum(s != t) >= min_h for t in signs):
-                signs.append(s)
-                break
+    corners = np.empty((n_classes, dom.d_in))
+    k = 0
+    attempts = 0
+    while k < n_classes:
+        s = rng.integers(0, 2, size=dom.d_in) * 2 - 1
+        if np.all(np.count_nonzero(corners[:k] != s, axis=1) >= min_h):
+            corners[k] = s
+            k += 1
+            attempts = 0
+        else:
             attempts += 1
             if attempts > 200 * n_classes:
                 min_h = max(1, min_h - 1)
                 attempts = 0
-    corners = np.asarray(signs, dtype=np.float64)
     return dom.class_sep * corners / np.sqrt(dom.d_in)
 
 

@@ -194,6 +194,17 @@ class TestAdaptCommand:
                    for name in ("metrics.jsonl", "model.ckpt")]
         assert digests == [metrics_digest, model_digest]
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "seed must be nonnegative"),
+        (["--domain-rotation-seed", "-2"], "rotation_seed must be null or nonnegative"),
+    ], ids=["seed", "domain.rotation_seed"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, small_config, capsys, flags,
+                                                message):
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_flag_overrides_config(self, tmp_path, small_config):
         out = tmp_path / "run"
         assert main(["adapt", "--config", str(small_config), "--out", str(out),
@@ -398,13 +409,13 @@ class TestMalformedRunFiles:
         (lambda obj: obj["counts"].pop("n_total"), "missing ['n_total']"),
         (lambda obj: obj["counts"].update(n_extra=1), "unexpected ['n_extra']"),
         (lambda obj: obj.pop("tau_k"), "missing ['tau_k']"),
-        (lambda obj: obj["counts"].update(n_total="16"), "counts n_total must be int, got '16'"),
-        (lambda obj: obj["counts"].update(n_known=True), "counts n_known must be int, got True"),
+        (lambda obj: obj["counts"].update(n_total="16"), "counts.n_total must be int, got '16'"),
+        (lambda obj: obj["counts"].update(n_known=True), "counts.n_known must be int, got True"),
         (lambda obj: obj["counts"].update(n_adapted=3.0), "n_adapted must be int, got 3.0"),
         (lambda obj: obj.update(h_score="0.5"),
-         "record h_score must be float or null, got '0.5'"),
-        (lambda obj: obj.update(tau_k=None), "record tau_k must be float, got None"),
-        (lambda obj: obj.update(batch=[5]), "record batch must be int, got [5]"),
+         "line 5: h_score must be float or null, got '0.5'"),
+        (lambda obj: obj.update(tau_k=None), "line 5: tau_k must be float, got None"),
+        (lambda obj: obj.update(batch=[5]), "line 5: batch must be int, got [5]"),
     ], ids=["count_missing", "count_extra", "tau_k_missing", "count_str", "count_bool",
             "count_float", "rate_str", "tau_k_null", "batch_list"])
     def test_replay_of_edited_record(self, tmp_path, small_run, capsys, edit, fragment):
@@ -413,6 +424,19 @@ class TestMalformedRunFiles:
         _edit_record(run_dir, 5, edit)
         self._assert_file_error(capsys, ["replay", str(run_dir)], "metrics.jsonl line 5:",
                                 fragment)
+
+    @pytest.mark.parametrize("key,value,shown", [
+        ("tau_k", float("nan"), "nan"),
+        ("loss_c", float("inf"), "inf"),
+        ("acc_known", float("-inf"), "-inf"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_replay_of_non_finite_record(self, tmp_path, small_run, capsys, key, value, shown):
+        # json writes NaN and Infinity, and reads them back as floats
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        _edit_record(run_dir, 5, lambda obj: obj.update({key: value}))
+        self._assert_file_error(capsys, ["replay", str(run_dir)],
+                                f"metrics.jsonl line 5: {key} must be finite, got {shown}\n")
 
 
     @pytest.mark.parametrize("edit,fragment", [
@@ -603,6 +627,15 @@ class TestSweepCommand:
                      "--parameter", "fd_r", "--values", "8,8.5"]) == 2
         assert capsys.readouterr().err == "config error: fd_r must be int, got 8.5\n"
         assert list(out.iterdir()) == []
+
+    def test_negative_rotation_seed_fails_before_any_cell(self, tmp_path, small_config, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--domain-rotation-seed", "-2", "--parameter", "p_reject",
+                     "--values", "40,60"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rotation_seed must be null or nonnegative\n")
+        assert not out.exists()
 
     def test_single_value_single_repeat_degenerates_to_adapt(self, tmp_path, small_config):
         out = tmp_path / "sweep"

@@ -7,6 +7,7 @@ import pytest
 
 from gmmadapt.config import RunConfig, config_keys, default_config, load_config
 from gmmadapt.errors import ConfigError
+from gmmadapt.simulator import ShiftSpec
 
 
 class TestDefaults:
@@ -184,6 +185,51 @@ class TestValueTypes:
     def test_optional_key_message_names_null(self, tmp_path):
         with pytest.raises(ConfigError, match="augment_sigma must be float or null, got '0.1'"):
             load_doc(tmp_path, {"augment_sigma": "0.1"})
+
+
+class TestNegativeSeeds:
+    @pytest.mark.parametrize("doc,message", [
+        ({"seed": -1}, "seed must be nonnegative"),
+        ({"domain": {"rotation_seed": -2}}, "rotation_seed must be null or nonnegative"),
+    ], ids=["seed", "domain.rotation_seed"])
+    def test_negative_seed_rejected_in_file(self, tmp_path, doc, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_doc(tmp_path, doc)
+
+    def test_zero_seeds_accepted(self, tmp_path):
+        cfg = load_doc(tmp_path, {"seed": 0, "domain": {"rotation_seed": 0}})
+        assert (cfg.seed, cfg.domain.rotation_seed) == (0, 0)
+
+
+class TestValidateReadsBack:
+    def test_edited_config_in_the_benchmark_pattern_validates(self):
+        cfg = default_config()
+        cfg.seed = 7
+        cfg.shift = ShiftSpec("OPDA", 50, 15, 10)
+        assert cfg.validate() is cfg
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cfg: setattr(cfg.domain, "class_sep", -1.0), "^class_sep must be positive$"),
+        (lambda cfg: setattr(cfg.shift, "kind", "XYZ"), "^kind must be one of"),
+        (lambda cfg: setattr(cfg, "shift", dict(SHIFT)),
+         re.escape("config does not read back as itself: ['shift'] differ")),
+        (lambda cfg: setattr(cfg, "seed", -1), "^seed must be nonnegative$"),
+        (lambda cfg: setattr(cfg, "fd_r", 8.5), "^fd_r must be int, got 8.5$"),
+    ], ids=["class_sep", "shift.kind", "shift_dict", "seed", "fd_r"])
+    def test_edited_config_fails_validate(self, edit, message):
+        cfg = default_config()
+        edit(cfg)
+        with pytest.raises(ConfigError, match=message):
+            cfg.validate()
+
+    @pytest.mark.parametrize("owner,name", [
+        (lambda cfg: cfg, "n_batch"),
+        (lambda cfg: cfg.domain, "shift_translation"),
+        (lambda cfg: cfg.shift, "n_share"),
+    ], ids=["n_batch", "domain.shift_translation", "shift.n_share"])
+    def test_unknown_field_cannot_be_set(self, owner, name):
+        with pytest.raises(AttributeError):
+            setattr(owner(default_config()), name, 3)
 
 
 FLOAT_KEYS = [path for path, typ, _ in config_keys() if typ is float]

@@ -44,30 +44,30 @@ class TestHScore:
 
 class TestMemoryReport:
     def test_paper_scale_ratios(self):
-        rep = memory_report(MemoryModelInputs(fd=256, fd_r=64, n_classes=345,
-                                              queue_len=55388, teacher_params=24_000_000))
+        rep = memory_report(MemoryModelInputs(fd=256, fd_r=64, queue_len=55388,
+                                              teacher_params=24_000_000), 345)
         assert rep.n_gmm == 740025
         assert rep.n_queue == 33_288_188
         assert rep.ratio_queue == pytest.approx(0.0222, abs=5e-4)
         assert rep.ratio_teacher == pytest.approx(0.0308, abs=5e-4)
 
     def test_twelve_class_case(self):
-        rep = memory_report(MemoryModelInputs(256, 64, 12, 55388, 24_000_000))
+        rep = memory_report(MemoryModelInputs(256, 64, 55388, 24_000_000), 12)
         assert rep.n_gmm == 25740
 
     def test_minimal_case(self):
-        rep = memory_report(MemoryModelInputs(1, 1, 1, 1, 1))
+        rep = memory_report(MemoryModelInputs(1, 1, 1, 1), 1)
         assert rep.n_gmm == 3
         assert rep.n_queue == 2
 
     def test_matches_gmm_stream_footprint(self):
         for fd_r, n_classes in ((64, 12), (16, 3), (8, 345)):
-            rep = memory_report(MemoryModelInputs(256, fd_r, n_classes, 10, 10))
+            rep = memory_report(MemoryModelInputs(256, fd_r, 10, 10), n_classes)
             assert rep.n_gmm == GaussianMixtureStream(n_classes, fd_r).memory_footprint()
 
     def test_positivity_validated(self):
         with pytest.raises(ValueError):
-            MemoryModelInputs(0, 64, 12, 10, 10)
+            MemoryModelInputs(0, 64, 10, 10)
 
 
 class TestScoreBatch:

@@ -9,6 +9,7 @@ unexpected [...]" or "<name> must be <type>[ or null], got <value>".
 """
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,9 +23,9 @@ from gmmadapt.toy_model import ToyModel
 
 
 def _record_obj() -> dict:
-    return RunRecord(batch=1, acc_known=0.5, acc_unknown=None, h_score=None, adapt_ratio=0.5,
-                     pl_precision_known=None, tau_k=0.3, tau_u=0.6, loss_c=0.0,
-                     loss_kld=0.0).to_json_obj()
+    return asdict(RunRecord(batch=1, acc_known=0.5, acc_unknown=None, h_score=None,
+                            adapt_ratio=0.5, pl_precision_known=None, tau_k=0.3, tau_u=0.6,
+                            loss_c=0.0, loss_kld=0.0))
 
 
 def _feed_config_file(doc, tmp_path):

@@ -79,6 +79,43 @@ class TestClassCenters:
         np.testing.assert_array_equal(class_centers(8, dom, seed=5),
                                       class_centers(8, dom, seed=5))
 
+    @settings(max_examples=40, deadline=None)
+    @given(d_in=st.integers(1, 8), n_classes=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_nested_loop(self, d_in, n_classes, seed):
+        n_classes = min(n_classes, 2 ** d_in)
+        dom = default_domain(d_in=d_in)
+        assert class_centers(n_classes, dom, seed).tobytes() == \
+            _nested_loop_centers(n_classes, dom, seed).tobytes()
+
+    def test_same_bytes_as_nested_loop_after_relaxation(self):
+        # with d_in 3 at most 4 corners keep Hamming distance 2, so 8
+        # classes relax min_h to 1
+        dom = default_domain(d_in=3)
+        for seed in range(5):
+            assert class_centers(8, dom, seed).tobytes() == \
+                _nested_loop_centers(8, dom, seed).tobytes()
+
+
+def _nested_loop_centers(n_classes, dom, seed):
+    """The reference: class_centers as first written, one Python check
+    per accepted corner."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    min_h = max(1, int(np.ceil(0.4 * dom.d_in)))
+    signs = []
+    while len(signs) < n_classes:
+        attempts = 0
+        while True:
+            s = rng.integers(0, 2, size=dom.d_in) * 2 - 1
+            if all(np.sum(s != t) >= min_h for t in signs):
+                signs.append(s)
+                break
+            attempts += 1
+            if attempts > 200 * n_classes:
+                min_h = max(1, min_h - 1)
+                attempts = 0
+    corners = np.asarray(signs, dtype=np.float64)
+    return dom.class_sep * corners / np.sqrt(dom.d_in)
+
 
 class TestMakeTask:
     def test_opda_label_spaces(self):
