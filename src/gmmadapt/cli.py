@@ -43,7 +43,7 @@ def _flag(path: tuple[str, ...]) -> str:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
-    for path, typ, _ in config_keys():
+    for path, typ in config_keys():
         if typ is bool:
             parser.add_argument(_flag(path), action="store_true", default=None)
         else:
@@ -53,7 +53,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _collect_overrides(args: argparse.Namespace) -> dict:
     """Nested config dict of the flags given; an absent flag is None."""
     overrides: dict = {}
-    for path, _, _ in config_keys():
+    for path, _ in config_keys():
         value = getattr(args, "_".join(path))
         if value is None:
             continue

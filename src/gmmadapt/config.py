@@ -6,10 +6,12 @@ underscores replaced by dashes (nested keys join their path, e.g.
 --domain-class-sep). The resolved config echoed into each run directory
 adds the derived values, among them the translation vector the domain
 builds, so it shows every effective parameter and a run can be replayed
-exactly. The dataclass fields are the one statement of that schema:
-config_keys derives the flag set from them, to_dict writes them, and
-from_dict reads them with errors.read_dataclass. validate reads a config
-back through from_dict, and slots bar setting a misspelt field.
+exactly. The dataclass fields, each under its metadata "key" or else
+its name, are the one statement of that schema: config_keys derives the
+flag set from them, to_dict writes them, and from_dict reads them with
+errors.read_dataclass. Each dataclass checks its own ranges however it is
+built. validate reads a config back through from_dict, which also checks
+value types, and slots bar setting a misspelt field.
 """
 from __future__ import annotations
 
@@ -27,12 +29,6 @@ LOSS_MODES = ("both", "contrastive_only", "kld_only", "none")
 # accuracy) and then frozen; larger rates drift a well-fit model off the
 # anchor over a 200-batch run.
 DEFAULT_LR = 3e-5
-
-# `lambda` is a Python keyword, so the field is `lam`; config files, flags
-# and sweeps call it `lambda`. The only key whose name differs from its field.
-_KEY_OF_FIELD = {"lam": "lambda"}
-_FIELD_OF_KEY = {v: k for k, v in _KEY_OF_FIELD.items()}
-
 
 @dataclass(slots=True)
 class RunConfig:
@@ -58,7 +54,9 @@ class RunConfig:
     p_reject: float = 50.0
     n_init: int = 30
     temperature: float = 0.1
-    lam: float = 1.0
+    # `lambda` is a Python keyword, so the field is `lam`; config files, flags
+    # and sweeps call it `lambda`. The only key whose name differs from its field.
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
     lr: float = DEFAULT_LR
     momentum: float = 0.9
     loss_mode: str = "both"
@@ -74,6 +72,35 @@ class RunConfig:
     n_source_train: int = 4500
     n_source_holdout: int = 900
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.shift.n_source_classes < 2:
+            raise ConfigError("need at least 2 source classes")
+        if self.fd < 1 or self.fd_r < 1:
+            raise ConfigError("feature dimensions must be positive")
+        if self.n_b < 4:
+            raise ConfigError("batch size must be at least 4 (threshold calibration)")
+        for name in ("n_batches", "n_init", "source_epochs", "n_source_train", "n_source_holdout"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
+        if not 0.0 < self.p_reject < 100.0:
+            raise ConfigError("p_reject must lie in (0, 100)")
+        if self.temperature <= 0:
+            raise ConfigError("temperature must be positive")
+        if self.lam < 0:
+            raise ConfigError("lambda must be nonnegative")
+        if self.lr <= 0 or self.source_lr <= 0:
+            raise ConfigError("learning rates must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum must lie in [0, 1)")
+        if self.loss_mode not in LOSS_MODES:
+            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
+        if self.jitter < 0:
+            raise ConfigError("jitter must be nonnegative")
+        if self.augment_sigma is not None and self.augment_sigma < 0:
+            raise ConfigError("augment_sigma must be nonnegative")
+
     def validate(self) -> "RunConfig":
         """self, once it reads back as itself through from_dict: a config
         edited in place is checked by the same rule as a file."""
@@ -85,8 +112,9 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         doc = asdict(self)
-        for name, key in _KEY_OF_FIELD.items():
-            doc[key] = doc.pop(name)
+        for name, (key, _, _) in declared_types(RunConfig).items():
+            if key != name:
+                doc[key] = doc.pop(name)  # last, where files have always held it
         return doc
 
     def resolved_dict(self) -> dict:
@@ -106,61 +134,27 @@ class RunConfig:
         missing, unknown, mistyped or out-of-range key."""
         if isinstance(doc, dict):
             doc = {k: v for k, v in doc.items() if k != "derived"}
-        cfg = read_dataclass(cls, doc, "config", ConfigError, _KEY_OF_FIELD)
-        if cfg.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if cfg.shift.n_source_classes < 2:
-            raise ConfigError("need at least 2 source classes")
-        if cfg.fd < 1 or cfg.fd_r < 1:
-            raise ConfigError("feature dimensions must be positive")
-        if cfg.n_b < 4:
-            raise ConfigError("batch size must be at least 4 (threshold calibration)")
-        for name in ("n_batches", "n_init", "source_epochs", "n_source_train", "n_source_holdout"):
-            if getattr(cfg, name) < 1:
-                raise ConfigError(f"{name} must be positive")
-        if not 0.0 < cfg.p_reject < 100.0:
-            raise ConfigError("p_reject must lie in (0, 100)")
-        if cfg.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        if cfg.lam < 0:
-            raise ConfigError("lambda must be nonnegative")
-        if cfg.lr <= 0 or cfg.source_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if not 0.0 <= cfg.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if cfg.loss_mode not in LOSS_MODES:
-            raise ConfigError(f"loss_mode must be one of {LOSS_MODES}")
-        if cfg.jitter < 0:
-            raise ConfigError("jitter must be nonnegative")
-        if cfg.augment_sigma is not None and cfg.augment_sigma < 0:
-            raise ConfigError("augment_sigma must be nonnegative")
-        return cfg
+        return read_dataclass(cls, doc, "config", ConfigError)
 
 
 @functools.cache
-def config_keys() -> tuple[tuple[tuple[str, ...], type, bool], ...]:
-    """(path, type, nullable) of every config key, in declaration order.
+def config_keys() -> tuple[tuple[tuple[str, ...], type], ...]:
+    """(path, type) of every config key, in declaration order.
 
-    Walks the RunConfig fields and its nested sections under their config
-    names. A `T | None` field has type T and is nullable.
+    Walks the RunConfig fields and its nested sections under their keys.
+    A `T | None` field has type T.
     """
     keys = []
 
     def walk(cls, prefix):
-        for name, (typ, nullable) in declared_types(cls).items():
-            path = prefix + (_KEY_OF_FIELD.get(name, name),)
+        for key, typ, _ in declared_types(cls).values():
             if is_dataclass(typ):
-                walk(typ, path)
+                walk(typ, prefix + (key,))
             else:
-                keys.append((path, typ, nullable))
+                keys.append((prefix + (key,), typ))
 
     walk(RunConfig, ())
     return tuple(keys)
-
-
-def field_name(key: str) -> str:
-    """RunConfig field behind a top-level config key."""
-    return _FIELD_OF_KEY.get(key, key)
 
 
 def default_config() -> RunConfig:

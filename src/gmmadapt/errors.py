@@ -1,7 +1,7 @@
 """Exception types shared across the library, and the one rule by which
 every reader checks a JSON document read back. Configs and run records
-are read by one function, read_dataclass, which applies that rule to
-each field of a dataclass, nested dataclasses included."""
+are read by read_dataclass: that rule on each field's key, nested
+dataclasses included; the dataclasses check their own ranges."""
 import dataclasses
 import functools
 import math
@@ -105,33 +105,32 @@ def check_keys(doc, keys, what: str, error: type[GmmAdaptError]) -> None:
 
 
 @functools.cache
-def declared_types(cls) -> dict[str, tuple[type, bool]]:
-    """(type, nullable) of each field of a dataclass, by name: a `T | None`
-    field has type T and is nullable."""
+def declared_types(cls) -> dict[str, tuple[str, type, bool]]:
+    """(key, type, nullable) of each field of a dataclass, by name: the key is
+    its metadata "key", else the name; a `T | None` field has type T and is nullable."""
     hints = typing.get_type_hints(cls)
     out = {}
     for f in dataclasses.fields(cls):
         args = typing.get_args(hints[f.name])
         typ = [a for a in args if a is not type(None)]
-        out[f.name] = (typ[0], True) if len(typ) < len(args) else (hints[f.name], False)
+        key = f.metadata.get("key", f.name)
+        out[f.name] = (key, typ[0], True) if len(typ) < len(args) else (key, hints[f.name], False)
     return out
 
 
-def read_dataclass(cls, doc, what: str, error: type[GmmAdaptError], key_of=None, prefix=""):
+def read_dataclass(cls, doc, what: str, error: type[GmmAdaptError], prefix=""):
     """The cls a JSON object describes. Each field is read from its key
-    (key_of maps a field to a key of another name), a dataclass field from
-    a nested object the same way. error reports the keys of an object
-    (named what, a nested one by its path), a value's type, a non-finite
-    float, or the constructor's complaint; a value is named by its path."""
-    key_of = key_of or {}
+    (see declared_types), a dataclass field from a nested object the same
+    way. error reports the keys of an object (named what, a nested one by
+    its path), a value's type, a non-finite float, or the constructor's
+    complaint, such as a value out of range; a value is named by its path."""
     types = declared_types(cls)
-    check_keys(doc, [key_of.get(name, name) for name in types], what, error)
+    check_keys(doc, [key for key, _, _ in types.values()], what, error)
     values = {}
-    for name, (typ, nullable) in types.items():
-        key = key_of.get(name, name)
+    for name, (key, typ, nullable) in types.items():
         value, path = doc[key], prefix + key
         if dataclasses.is_dataclass(typ):
-            value = read_dataclass(typ, value, path, error, key_of, path + ".")
+            value = read_dataclass(typ, value, path, error, path + ".")
         else:
             check_type(value, typ, nullable, path, error)
             if typ is float and value is not None:

@@ -10,7 +10,8 @@ Records are emitted as JSONL (one object per batch, stable key order; each
 row carries a counts sub-object so summaries can be recomputed exactly
 from the file alone) and as a CSV mirror whose columns are RunRecord's
 fields, in order, but the counts. read_jsonl reads each line back with
-errors.read_dataclass, the reader of configs too.
+errors.read_dataclass, the reader of configs too; a record's rates must
+follow from its counts, and the n-th record must be batch n.
 """
 from __future__ import annotations
 
@@ -107,6 +108,11 @@ class RunRecord:
     loss_kld: float
     counts: BatchCounts = field(default_factory=BatchCounts)
 
+    def __post_init__(self):
+        wrong = [k for k, v in rates_from_counts(self.counts).items() if getattr(self, k) != v]
+        if wrong:
+            raise ValueError(f"{', '.join(wrong)} do not match the counts")
+
 
 # metrics.csv's columns: RunRecord's fields, in order, but the counts.
 CSV_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name != "counts")
@@ -179,23 +185,18 @@ def summarize(records: list[RunRecord], kind: str, n_init: int) -> dict:
     def window(recs):
         pooled = pool_counts([r.counts for r in recs])
         rates = rates_from_counts(pooled)
-        if kind == "PDA":
-            correct = pooled.n_known_correct + pooled.n_unknown_correct
-            primary = correct / pooled.n_total if pooled.n_total else None
-        else:
-            primary = rates["h_score"]
+        correct = pooled.n_known_correct + pooled.n_unknown_correct
+        accuracy = correct / pooled.n_total if pooled.n_total else None
         return {
             "n_batches": len(recs),
             "n_samples": pooled.n_total,
             "acc_known": rates["acc_known"],
             "acc_unknown": rates["acc_unknown"],
             "h_score": rates["h_score"],
-            "accuracy": (pooled.n_known_correct + pooled.n_unknown_correct) / pooled.n_total
-            if pooled.n_total
-            else None,
+            "accuracy": accuracy,
             "adapt_ratio": rates["adapt_ratio"],
             "pl_precision_known": rates["pl_precision_known"],
-            "primary_metric": primary,
+            "primary_metric": accuracy if kind == "PDA" else rates["h_score"],
         }
 
     post = [r for r in records if r.batch > n_init]
@@ -233,15 +234,18 @@ def write_jsonl(records: list[RunRecord], path) -> None:
 
 
 def read_jsonl(path) -> list[RunRecord]:
+    """The records of a metrics.jsonl file, the n-th of batch n; blank lines are skipped."""
     records = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    records.append(read_dataclass(RunRecord, json.loads(line), "record",
-                                                  MalformedFile))
+                    record = read_dataclass(RunRecord, json.loads(line), "record", MalformedFile)
+                    if record.batch != len(records) + 1:
+                        raise MalformedFile(f"batch {record.batch}, expected {len(records) + 1}")
                 except (json.JSONDecodeError, MalformedFile) as err:
                     raise MalformedFile(f"{path} line {lineno}: {err}") from err
+                records.append(record)
     return records
 
 

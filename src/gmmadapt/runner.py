@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics
-from .config import RunConfig, config_keys, field_name
-from .errors import ConfigError, GmmAdaptError, MalformedFile, NumericalFailure
+from .config import RunConfig
+from .errors import ConfigError, GmmAdaptError, MalformedFile, NumericalFailure, declared_types
 from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, memory_report, score_batch, summarize
 from .objectives import contrastive_loss, kld_loss
@@ -252,7 +252,10 @@ def replay(run_dir: Path) -> dict:
         cfg = RunConfig.from_dict(json.loads(path.read_text()))
     except (json.JSONDecodeError, ConfigError) as err:
         raise MalformedFile(f"{path}: {err}") from err
-    records = metrics.read_jsonl(run_dir / "metrics.jsonl")
+    path = run_dir / "metrics.jsonl"
+    records = metrics.read_jsonl(path)
+    if len(records) != cfg.n_batches:
+        raise MalformedFile(f"{path}: {len(records)} records for n_batches {cfg.n_batches}")
     return summarize(records, cfg.shift.kind, cfg.n_init)
 
 
@@ -276,10 +279,9 @@ def run_sweep(
     source model per repeat, not one per cell.
     """
     sweepable = {}
-    for path, typ, _ in config_keys():
-        if len(path) == 1 and typ in (int, float) and path != ("seed",):
-            field = field_name(path[0])
-            sweepable[path[0]] = sweepable[field] = field
+    for field, (key, typ, _) in declared_types(RunConfig).items():
+        if typ in (int, float) and field != "seed":
+            sweepable[key] = sweepable[field] = field
     name = sweepable.get(parameter.lower())
     if name is None:
         raise GmmAdaptError(
@@ -289,14 +291,18 @@ def run_sweep(
         raise GmmAdaptError("repeats must be at least 1")
     if compensate_n_init and name != "n_b":
         raise GmmAdaptError("n_init compensation only applies to batch-size sweeps")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise GmmAdaptError(f"sweep values repeat: {repeated}")
 
     # Every cell is validated before the first one runs.
     cells = []
     for value in values:
         for rep in range(repeats):
-            cfg = replace(base, seed=base.seed + rep, **{name: value})
-            if compensate_n_init:
-                cfg.n_init = max(1, int(np.floor(base.n_init * base.n_b / value + 0.5)))
+            changes = {"seed": base.seed + rep, name: value}
+            if compensate_n_init and value > 0:  # replace rejects any n_b below 4
+                changes["n_init"] = max(1, int(np.floor(base.n_init * base.n_b / value + 0.5)))
+            cfg = replace(base, **changes)
             cells.append((f"{name}={value}_rep{rep}", cfg.validate(), setup_key(cfg)))
     last_cell = {key: i for i, (_, _, key) in enumerate(cells)}
 

@@ -56,9 +56,6 @@ class ShiftSpec:
     def unknown_marker(self) -> int:
         return self.n_source_classes
 
-    def source_classes(self) -> np.ndarray:
-        return np.arange(self.n_source_classes)
-
     def target_classes(self) -> np.ndarray:
         shared = np.arange(self.n_shared)
         private = np.arange(self.n_source_classes, self.n_total_classes)

@@ -66,7 +66,7 @@ CONFIG_FLAGS = [
     "--source-epochs", "--source-lr", "--temperature", "--unknown-positive-pairs",
 ]
 HELP = ["--help", "-h"]
-FLOAT_KEYS = [path for path, typ, _ in config_keys() if typ is float]
+FLOAT_KEYS = [path for path, typ in config_keys() if typ is float]
 PINNED_OPTIONS = {
     "train-source": sorted(CONFIG_FLAGS + HELP + ["--out"]),
     "adapt": sorted(CONFIG_FLAGS + HELP + ["--out", "--model"]),
@@ -376,6 +376,11 @@ def _edit_record(run_dir, line, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _with(line, **values):
+    """A metrics.jsonl line with some keys set to other values."""
+    return json.dumps({**json.loads(line), **values})
+
+
 class TestMalformedRunFiles:
     """A run file that cannot be read back exits 2 with one line on stderr."""
 
@@ -424,6 +429,32 @@ class TestMalformedRunFiles:
         _edit_record(run_dir, 5, edit)
         self._assert_file_error(capsys, ["replay", str(run_dir)], "metrics.jsonl line 5:",
                                 fragment)
+
+    @pytest.mark.parametrize("edit,fragment", [
+        (lambda lines: lines[:4], "metrics.jsonl: 4 records for n_batches 12"),
+        (lambda lines: lines[::-1], "metrics.jsonl line 1: batch 12, expected 1"),
+        (lambda lines: lines[:5] * 2, "metrics.jsonl line 6: batch 1, expected 6"),
+        (lambda lines: lines[:3] + [""] + lines[3:5] + lines[6:],
+         "metrics.jsonl line 7: batch 7, expected 6"),
+        (lambda lines: lines[:5] + [_with(lines[5], h_score=0.123, adapt_ratio=0.987)]
+         + lines[6:], "metrics.jsonl line 6: h_score, adapt_ratio do not match the counts"),
+    ], ids=["truncated", "reversed", "repeated", "line_dropped", "rates_edited"])
+    def test_replay_of_log_that_does_not_match_its_run(self, tmp_path, small_run, capsys, edit,
+                                                    fragment):
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        path = run_dir / "metrics.jsonl"
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        self._assert_file_error(capsys, ["replay", str(run_dir)], fragment + "\n")
+
+    def test_replay_skips_blank_lines(self, tmp_path, small_run, capsys):
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        path = run_dir / "metrics.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + ["", "  "] + lines[3:]) + "\n\n")
+        assert main(["replay", str(run_dir)]) == 0
+        assert capsys.readouterr().out == (run_dir / "summary.json").read_text()
 
     @pytest.mark.parametrize("key,value,shown", [
         ("tau_k", float("nan"), "nan"),
@@ -627,6 +658,21 @@ class TestSweepCommand:
                      "--parameter", "fd_r", "--values", "8,8.5"]) == 2
         assert capsys.readouterr().err == "config error: fd_r must be int, got 8.5\n"
         assert list(out.iterdir()) == []
+
+    def test_repeated_values_rejected_before_any_cell(self, tmp_path, small_config, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--parameter", "p_reject", "--values", "40,40.0"]) == 2
+        assert capsys.readouterr().err == "config error: sweep values repeat: [40]\n"
+        assert not out.exists()
+
+    def test_compensated_batch_size_zero_is_config_error(self, tmp_path, small_config, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(small_config), "--out", str(out),
+                     "--parameter", "n_b", "--values", "0", "--compensate-n-init"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: batch size must be at least 4 (threshold calibration)\n")
+        assert not out.exists()
 
     def test_negative_rotation_seed_fails_before_any_cell(self, tmp_path, small_config, capsys):
         out = tmp_path / "sweep"

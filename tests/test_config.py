@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,20 @@ class TestLoadConfig:
             load_config(str(path))
 
 
+FIELD_OF_KEY = {"lambda": "lam"}
+RANGE_MESSAGES = {
+    "p_reject": "p_reject must lie in (0, 100)",
+    "n_init": "n_init must be positive",
+    "temperature": "temperature must be positive",
+    "lambda": "lambda must be nonnegative",
+    "lr": "learning rates must be positive",
+    "momentum": "momentum must lie in [0, 1)",
+    "loss_mode": "loss_mode must be one of ('both', 'contrastive_only', 'kld_only', 'none')",
+    "n_b": "batch size must be at least 4 (threshold calibration)",
+    "jitter": "jitter must be nonnegative",
+}
+
+
 class TestValidation:
     def test_single_source_class_rejected(self):
         doc = default_config().to_dict()
@@ -108,17 +123,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
 
+    # Every way of building a config checks the same ranges in the same words.
+    BUILDERS = {
+        "from_dict": lambda key, value: RunConfig.from_dict(
+            dict(default_config().to_dict(), **{key: value})),
+        "constructor": lambda key, value: RunConfig(**{FIELD_OF_KEY.get(key, key): value}),
+        "replace": lambda key, value: replace(default_config(),
+                                              **{FIELD_OF_KEY.get(key, key): value}),
+    }
+
+    @pytest.mark.parametrize("path", BUILDERS)
     @pytest.mark.parametrize(
         "key,value",
         [("p_reject", 0.0), ("p_reject", 100.0), ("n_init", 0), ("temperature", 0.0),
          ("lambda", -0.5), ("lr", 0.0), ("momentum", 1.0), ("loss_mode", "off"),
          ("n_b", 2), ("jitter", -1.0)],
     )
-    def test_bad_scalars_rejected(self, key, value):
-        doc = default_config().to_dict()
-        doc[key] = value
-        with pytest.raises(ConfigError):
-            RunConfig.from_dict(doc)
+    def test_bad_scalars_rejected(self, key, value, path):
+        with pytest.raises(ConfigError) as info:
+            self.BUILDERS[path](key, value)
+        assert str(info.value) == RANGE_MESSAGES[key]
 
     def test_resolve_translation_zero_scale(self):
         cfg = load_config(None, {"domain": {"translation_scale": 0.0}})
@@ -232,7 +256,7 @@ class TestValidateReadsBack:
             setattr(owner(default_config()), name, 3)
 
 
-FLOAT_KEYS = [path for path, typ, _ in config_keys() if typ is float]
+FLOAT_KEYS = [path for path, typ in config_keys() if typ is float]
 
 
 def with_value(path, value) -> dict:

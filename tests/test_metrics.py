@@ -151,6 +151,11 @@ class TestEmitters:
         with pytest.raises(MalformedFile, match=r"metrics.jsonl line 2: .*" + re.escape(fragment)):
             read_jsonl(path)
 
+    def test_record_rates_must_follow_from_its_counts(self):
+        rec = make_record(1)
+        with pytest.raises(ValueError, match="^acc_known, pl_precision_known do not match"):
+            RunRecord(**dict(vars(rec), acc_known=0.25, pl_precision_known=None))
+
     def test_csv_fixed_columns_and_nulls(self, tmp_path):
         rec = make_record(1, pl_known=0, pl_corr=0)
         path = tmp_path / "metrics.csv"

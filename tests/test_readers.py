@@ -17,15 +17,17 @@ import pytest
 from gmmadapt.config import RunConfig, default_config, load_config
 from gmmadapt.errors import GmmAdaptError
 from gmmadapt.gmm_stream import GaussianMixtureStream
-from gmmadapt.metrics import RunRecord, read_jsonl
+from gmmadapt.metrics import BatchCounts, RunRecord, read_jsonl
 from gmmadapt.runner import replay
 from gmmadapt.toy_model import ToyModel
 
 
-def _record_obj() -> dict:
-    return asdict(RunRecord(batch=1, acc_known=0.5, acc_unknown=None, h_score=None,
+def _record_obj(batch=1) -> dict:
+    return asdict(RunRecord(batch=batch, acc_known=0.5, acc_unknown=None, h_score=None,
                             adapt_ratio=0.5, pl_precision_known=None, tau_k=0.3, tau_u=0.6,
-                            loss_c=0.0, loss_kld=0.0))
+                            loss_c=0.0, loss_kld=0.0,
+                            counts=BatchCounts(n_known=2, n_known_correct=1, n_adapted=1,
+                                               n_total=2)))
 
 
 def _feed_config_file(doc, tmp_path):
@@ -53,7 +55,8 @@ def _feed_model_meta(doc, tmp_path):
 
 def _feed_resolved_config(doc, tmp_path):
     (tmp_path / "config.resolved.json").write_text(json.dumps(doc))
-    _feed_metrics(_record_obj(), tmp_path)
+    records = [json.dumps(_record_obj(k)) for k in range(1, default_config().n_batches + 1)]
+    (tmp_path / "metrics.jsonl").write_text("\n".join(records) + "\n")
     return replay(tmp_path)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from gmmadapt import runner
 from gmmadapt.config import config_keys, load_config
+from gmmadapt.errors import GmmAdaptError
 
 TINY = {
     "seed": 5,
@@ -59,7 +60,7 @@ class TestSetupKey:
         base_key, base_digest = runner.setup_key(base), setup_digest(base)
         values = base.to_dict()
         inside = []
-        for path, typ, _ in config_keys():
+        for path, typ in config_keys():
             value = functools.reduce(dict.__getitem__, path, values)
             cfg = load_config(None, perturbed(path, typ, value))
             key_moved = runner.setup_key(cfg) != base_key
@@ -67,6 +68,22 @@ class TestSetupKey:
             if key_moved:
                 inside.append(path[0])
         assert sorted(set(inside)) == sorted(runner.SETUP_KEYS)
+
+
+class TestSweepParameters:
+    def test_sweepable_set_pinned(self, tmp_path):
+        # every top-level int or float key but seed, by key and by field name
+        sweepable = ["augment_sigma", "fd", "fd_r", "jitter", "lam", "lambda", "lr", "momentum",
+                     "n_b", "n_batches", "n_init", "n_source_holdout", "n_source_train",
+                     "p_reject", "source_epochs", "source_lr", "temperature"]
+        with pytest.raises(GmmAdaptError) as info:
+            runner.run_sweep(load_config(None, TINY), "nope", [1], 1, tmp_path / "s")
+        assert str(info.value) == f"unknown sweep parameter 'nope'; choose from {sweepable}"
+
+    def test_repeated_values_rejected_before_any_cell(self, tmp_path):
+        with pytest.raises(GmmAdaptError, match=r"^sweep values repeat: \[0\.1\]$"):
+            runner.run_sweep(load_config(None, TINY), "temperature", [0.1, 0.1], 1, tmp_path / "s")
+        assert not (tmp_path / "s").exists()
 
 
 def counting(monkeypatch, name):
