@@ -10,8 +10,10 @@ exactly. The dataclass fields, each under its metadata "key" or else
 its name, are the one statement of that schema: config_keys derives the
 flag set from them, to_dict writes them, and from_dict reads them with
 errors.read_dataclass. Each dataclass checks its own ranges however it is
-built. validate reads a config back through from_dict, which also checks
-value types, and slots bar setting a misspelt field.
+built, and RunConfig the types of its own values before their ranges.
+validate reads a config back through from_dict, which also checks a value
+set in place and the nested sections' types, and slots bar setting a
+misspelt field.
 """
 from __future__ import annotations
 
@@ -73,6 +75,8 @@ class RunConfig:
     n_source_holdout: int = 900
 
     def __post_init__(self):
+        for name, (key, typ, nullable) in declared_types(RunConfig).items():
+            check_type(getattr(self, name), typ, nullable, key, ConfigError)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.shift.n_source_classes < 2:

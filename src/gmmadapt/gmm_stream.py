@@ -24,14 +24,18 @@ classes: in ``update`` one stacked scatter per block, folded into the
 block's covariance rows in place; in the likelihoods one stacked Cholesky
 per block and one in-place BLAS triangular solve per mode. Every mode's
 floating-point operations are the same whatever the block size, so BLOCK
-sets speed, never results. Cholesky factors and every other work array
-live only inside one call and are never stored, so the state is exactly
-what ``memory_footprint`` counts.
+sets speed, never results. The blocks of one call are independent, each
+writing only its own classes' rows or columns, so with several blocks
+they run on a per-process pool of one thread per usable CPU, and the
+bytes are those of a serial loop. Cholesky factors and every other work
+array live only inside one call and are never stored, so the state is
+exactly what ``memory_footprint`` counts.
 """
 from __future__ import annotations
 
 import copy
 import json
+import os
 import reprlib
 
 import numpy as np
@@ -61,12 +65,42 @@ def _blocks(classes: np.ndarray):
         yield (slice(ids[0], ids[-1] + 1) if consecutive else ids), ids
 
 
+# Threads in the block pool: one per CPU this process may run on.
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_pool = None  # (pid, WORKERS, executor), made on first use in each process
+
+
+def _each_block(classes: np.ndarray, work) -> None:
+    """work(rows, ids) for each block of the classes (see _blocks): on the
+    pool when there are several blocks and workers, else in this thread.
+    Every block finishes; then the first failing block's error, in block
+    order, is raised, as from a serial loop."""
+    global _pool
+    blocks = list(_blocks(classes))
+    if len(blocks) == 1 or WORKERS == 1:
+        for rows, ids in blocks:
+            work(rows, ids)
+        return
+    # No lock: a race makes one spare pool, dropped with its threads, and a
+    # lock held by another thread at a fork would stay held in the child.
+    if _pool is None or _pool[:2] != (os.getpid(), WORKERS):
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = os.getpid(), WORKERS, ThreadPoolExecutor(WORKERS, "gmm-block")
+    futures = [_pool[2].submit(work, rows, ids) for rows, ids in blocks]
+    for error in [f.exception() for f in futures]:
+        if error is not None:
+            raise error
+
+
 class GaussianMixtureStream:
     """Streaming weighted Gaussian mixture over a fixed set of known classes.
 
     The mode count never changes; new/unknown classes are never modes.
     Updates are sequential per run (the recursion is order-dependent across
-    batches by design); instances are plain values that may be copied or
+    batches by design); within one call, the blocks of classes run on the
+    module's thread pool. Instances are plain values that may be copied or
     moved between threads, but concurrent mutation is unsupported.
     """
 
@@ -127,7 +161,8 @@ class GaussianMixtureStream:
 
         batch_mass = weights.sum(axis=0)
         weighted_sums = weights.T @ feats
-        for rows, _ in _blocks(np.flatnonzero(batch_mass > 0.0)):
+
+        def fold(rows, _):
             s_prev = self.mass[rows, None]
             s_new = s_prev + batch_mass[rows, None]
             new_means = (s_prev * self.means[rows] + weighted_sums[rows]) / s_new
@@ -140,6 +175,8 @@ class GaussianMixtureStream:
             self.cov_packed[rows] = cov
             self.means[rows] = new_means
             self.mass[rows] = s_new[:, 0]
+
+        _each_block(np.flatnonzero(batch_mass > 0.0), fold)
         self.batch_counter += 1
         return self
 
@@ -159,11 +196,14 @@ class GaussianMixtureStream:
         if live.size == 0:
             raise NoInitializedMode("no mode has received mass yet")
         out = np.full((feats.shape[0], self.n_classes), -np.inf)
-        for rows, ids in _blocks(live):
+
+        def densities(rows, ids):
             # unpacking reads scattered entries, faster from a fresh, cached
             # copy of the block's rows than from the state itself
             chols = linalg.cholesky(self.cov_packed[ids], self.jitter, ids=ids)
             out[:, rows] = linalg.log_gauss_density_batch(feats, self.means[rows], chols, ids=ids)
+
+        _each_block(live, densities)
         return out
 
     def likelihood_vectors(self, feats: np.ndarray) -> np.ndarray:

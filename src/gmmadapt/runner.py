@@ -7,12 +7,14 @@ pseudo-labeling -> prediction -> scoring -> augmented view -> losses ->
 backprop -> SGD step. Each batch is seen exactly once; the prediction for
 a batch always precedes the parameter update it triggers.
 
-One run is strictly sequential, and so is a sweep: its cells run one
-after another in value-major order. Cells whose configs agree on every
-key that build_task and train_source_model read (setup_key) share one
-task and one trained source model; each cell adapts its own copy of that
-model over its own pass of the stream, so a shared set-up writes the same
-bytes as a fresh one.
+One run is sequential across batches: within one batch's step only the
+mixture's blocks of classes run in parallel (see gmm_stream). A sweep is
+sequential too: its cells run one after another in value-major order.
+Cells whose configs agree on every key that build_task and
+train_source_model read (setup_key) share one task and one trained
+source model; each cell adapts its own copy of that model over its own
+pass of the stream, so a shared set-up writes the same bytes as a fresh
+one.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ import pytest
 
 from gmmadapt.config import RunConfig, config_keys, default_config, load_config
 from gmmadapt.errors import ConfigError
+from gmmadapt.runner import run_sweep
 from gmmadapt.simulator import ShiftSpec
 
 
@@ -113,6 +114,15 @@ RANGE_MESSAGES = {
     "n_b": "batch size must be at least 4 (threshold calibration)",
     "jitter": "jitter must be nonnegative",
 }
+# A value of the wrong type is named in the words of a config file on every path.
+TYPE_MESSAGES = {
+    ("p_reject", "40"): "p_reject must be float, got '40'",
+    ("n_b", "64"): "n_b must be int, got '64'",
+    ("lr", None): "lr must be float, got None",
+}
+BAD_SCALARS = [("p_reject", 0.0), ("p_reject", 100.0), ("n_init", 0), ("temperature", 0.0),
+               ("lambda", -0.5), ("lr", 0.0), ("momentum", 1.0), ("loss_mode", "off"),
+               ("n_b", 2), ("jitter", -1.0), *TYPE_MESSAGES]
 
 
 class TestValidation:
@@ -123,26 +133,27 @@ class TestValidation:
         with pytest.raises(ConfigError):
             RunConfig.from_dict(doc)
 
-    # Every way of building a config checks the same ranges in the same words.
+    # Every way of building a config checks the same ranges and value types
+    # in the same words. A sweep validates every cell before it makes out.
     BUILDERS = {
-        "from_dict": lambda key, value: RunConfig.from_dict(
+        "from_dict": lambda key, value, out: RunConfig.from_dict(
             dict(default_config().to_dict(), **{key: value})),
-        "constructor": lambda key, value: RunConfig(**{FIELD_OF_KEY.get(key, key): value}),
-        "replace": lambda key, value: replace(default_config(),
-                                              **{FIELD_OF_KEY.get(key, key): value}),
+        "constructor": lambda key, value, out: RunConfig(**{FIELD_OF_KEY.get(key, key): value}),
+        "replace": lambda key, value, out: replace(default_config(),
+                                                   **{FIELD_OF_KEY.get(key, key): value}),
+        "sweep": lambda key, value, out: run_sweep(default_config(), key, [value], 1, out),
     }
 
-    @pytest.mark.parametrize("path", BUILDERS)
-    @pytest.mark.parametrize(
-        "key,value",
-        [("p_reject", 0.0), ("p_reject", 100.0), ("n_init", 0), ("temperature", 0.0),
-         ("lambda", -0.5), ("lr", 0.0), ("momentum", 1.0), ("loss_mode", "off"),
-         ("n_b", 2), ("jitter", -1.0)],
-    )
-    def test_bad_scalars_rejected(self, key, value, path):
+    @pytest.mark.parametrize("key,value,path", [
+        (key, value, path) for path in BUILDERS for key, value in BAD_SCALARS
+        if (path, key) != ("sweep", "loss_mode")  # a str key is not sweepable
+    ])
+    def test_bad_scalars_rejected(self, key, value, path, tmp_path):
+        out = tmp_path / "sweep"
         with pytest.raises(ConfigError) as info:
-            self.BUILDERS[path](key, value)
-        assert str(info.value) == RANGE_MESSAGES[key]
+            self.BUILDERS[path](key, value, out)
+        assert str(info.value) == TYPE_MESSAGES.get((key, value), RANGE_MESSAGES[key])
+        assert not out.exists()
 
     def test_resolve_translation_zero_scale(self):
         cfg = load_config(None, {"domain": {"translation_scale": 0.0}})

@@ -1,5 +1,8 @@
 import json
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -486,6 +489,36 @@ class TestBlockedProperties:
         monkeypatch.setattr(gmm_stream, "BLOCK", block)
         assert run() == expected
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_do_not_depend_on_workers(self, monkeypatch, workers):
+        rng = np.random.default_rng(workers)
+        dim = 6
+        cases = []
+        for n_classes in BLOCK_EDGES:
+            # dead classes make a block's ids non-consecutive
+            dead = [c for c in (3, BLOCK + 2) if c < n_classes - 1]
+            batches = [random_batch(rng, 20, n_classes, dim, dead) for _ in range(3)]
+            cases.append((n_classes, batches, rng.standard_normal((9, dim))))
+
+        def run():
+            results = []
+            for n_classes, batches, xs in cases:
+                gmm = GaussianMixtureStream(n_classes, dim, jitter=1e-4)
+                for feats, w in batches:
+                    gmm.update(feats, w)
+                results.append((gmm.to_snapshot(), gmm.class_log_likelihoods_batch(xs).tobytes()))
+            return results
+
+        monkeypatch.setattr(gmm_stream, "WORKERS", 1)
+        expected = run()
+        monkeypatch.setattr(gmm_stream, "WORKERS", workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            assert run() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
     @settings(max_examples=8, deadline=None)
     @given(
         n_classes=st.sampled_from(BLOCK_EDGES),
@@ -576,6 +609,82 @@ class TestBlockedProperties:
             gmm.likelihood_vectors(rng.standard_normal((4, dim)))
         gmm = GaussianMixtureStream.from_snapshot(gmm.to_snapshot()) if seed % 2 else gmm
         assert reachable_reals(gmm) == gmm.memory_footprint()
+
+
+class TestBlockPool:
+    """The blocks of one call on gmm_stream's thread pool (see _each_block)."""
+
+    def test_first_failing_block_in_block_order_is_raised(self, monkeypatch):
+        # classes 3 (first block) and BLOCK + 6 (second block) cannot be
+        # factored; the first block waits until the second has failed
+        n_classes, first, second = 2 * BLOCK + 1, 3, BLOCK + 6
+        gmm = mixture_from(np.zeros((n_classes, 3)), np.ones(n_classes))
+        gmm.cov_packed[[first, second]] *= -1.0
+        factor, second_failed = linalg.cholesky, threading.Event()
+
+        def ordered(covs, *args, ids, **kwargs):
+            if first in ids:
+                assert second_failed.wait(timeout=30)
+                return factor(covs, *args, ids=ids, **kwargs)
+            try:
+                return factor(covs, *args, ids=ids, **kwargs)
+            finally:
+                if second in ids:
+                    second_failed.set()
+
+        monkeypatch.setattr(gmm_stream, "WORKERS", 2)
+        monkeypatch.setattr(linalg, "cholesky", ordered)
+        with pytest.raises(NotPositiveDefinite, match=f"factorization of mode {first} failed"):
+            gmm.likelihood_vectors(np.zeros((2, 3)))
+        assert second_failed.is_set()
+
+    def test_forked_child_completes_a_multi_block_call(self, package_env):
+        """A child forked after the pool has run gets a pool of its own; the
+        parent's threads do not exist in it. The alarm ends a hung child."""
+        script = (
+            "import os, signal, sys\n"
+            "import numpy as np\n"
+            "from gmmadapt import gmm_stream\n"
+            "gmm_stream.WORKERS = 2\n"
+            "rng = np.random.default_rng(0)\n"
+            "n_classes = 2 * gmm_stream.BLOCK + 1\n"
+            "gmm = gmm_stream.GaussianMixtureStream(n_classes, 4)\n"
+            "gmm.update(rng.standard_normal((40, 4)), rng.dirichlet(np.ones(n_classes), 40))\n"
+            "xs = rng.standard_normal((5, 4))\n"
+            "expected = gmm.likelihood_vectors(xs)\n"
+            "assert gmm_stream._pool is not None\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    signal.alarm(20)\n"
+            "    os._exit(0 if np.array_equal(gmm.likelihood_vectors(xs), expected) else 3)\n"
+            "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_default_run_starts_no_thread(self, package_env, tmp_path):
+        """9 classes are one block, run in the calling thread: a 9-class
+        mixture step does not import concurrent.futures, and the default run
+        makes no pool and starts no thread. (The run itself loads the module:
+        scipy.linalg, imported to build the domain rotation, imports it.)"""
+        script = (
+            "import sys, threading\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from gmmadapt import GaussianMixtureStream, default_config, gmm_stream, run_adapt\n"
+            "rng = np.random.default_rng(0)\n"
+            "gmm = GaussianMixtureStream(9, 16)\n"
+            "feats = rng.standard_normal((64, 16))\n"
+            "gmm.update(feats, rng.dirichlet(np.ones(9), size=64)).likelihood_vectors(feats)\n"
+            "print('concurrent.futures' in sys.modules)\n"
+            f"run_adapt(replace(default_config(), n_batches=4, n_init=2), {str(tmp_path)!r})\n"
+            "print(gmm_stream._pool, threading.active_count())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=120, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\nNone 1\n"
 
 
 def reachable_reals(gmm) -> int:
