@@ -9,11 +9,11 @@ builds, so it shows every effective parameter and a run can be replayed
 exactly. The dataclass fields, each under its metadata "key" or else
 its name, are the one statement of that schema: config_keys derives the
 flag set from them, to_dict writes them, and from_dict reads them with
-errors.read_dataclass. Each dataclass checks its own ranges however it is
-built, and RunConfig the types of its own values before their ranges.
-validate reads a config back through from_dict, which also checks a value
-set in place and the nested sections' types, and slots bar setting a
-misspelt field.
+errors.read_dataclass. However it is built, each dataclass checks the
+types and finiteness of its own values (errors.check_fields), then their
+ranges. validate reads a config back through from_dict, which also checks
+a value set in place and the nested sections' values, and slots bar
+setting a misspelt field.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import functools
 import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
-from .errors import ConfigError, check_type, declared_types, read_dataclass
+from .errors import ConfigError, check_fields, check_type, declared_types, read_dataclass
 from .simulator import DomainSpec, ShiftSpec
 
 LOSS_MODES = ("both", "contrastive_only", "kld_only", "none")
@@ -75,12 +75,15 @@ class RunConfig:
     n_source_holdout: int = 900
 
     def __post_init__(self):
-        for name, (key, typ, nullable) in declared_types(RunConfig).items():
-            check_type(getattr(self, name), typ, nullable, key, ConfigError)
+        check_fields(self, ConfigError)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.shift.n_source_classes < 2:
             raise ConfigError("need at least 2 source classes")
+        need = (self.shift.n_total_classes - 1).bit_length()  # no 2**d_in: d_in may be huge
+        if self.domain.d_in < need:
+            raise ConfigError(f"domain.d_in must be at least {need} for "
+                              f"{self.shift.n_total_classes} classes, one orthant each")
         if self.fd < 1 or self.fd_r < 1:
             raise ConfigError("feature dimensions must be positive")
         if self.n_b < 4:

@@ -1,7 +1,7 @@
-"""Exception types shared across the library, and the one rule by which
-every reader checks a JSON document read back. Configs and run records
-are read by read_dataclass: that rule on each field's key, nested
-dataclasses included; the dataclasses check their own ranges."""
+"""Exception types shared across the library, and the one value rule,
+check_type: a value has its declared type, and a number is finite. Readers
+apply it to each key of a JSON document (read_dataclass), and each
+self-checking dataclass to its own fields (check_fields) before its ranges."""
 import dataclasses
 import functools
 import math
@@ -50,10 +50,6 @@ class InvalidSplit(GmmAdaptError, ValueError):
     """Category-shift class counts are inconsistent with the shift kind."""
 
 
-class LengthMismatch(GmmAdaptError, ValueError):
-    """Aligned sequences have different lengths."""
-
-
 class MalformedFile(GmmAdaptError, ValueError):
     """A run file cannot be read back: not the format, truncated, or keys missing or extra."""
 
@@ -73,25 +69,25 @@ class NumericalFailure(GmmAdaptError, RuntimeError):
 
 def check_type(value, typ: type, nullable: bool, name: str, error: type[GmmAdaptError]) -> None:
     """Raise error unless value is a typ: an int is a non-bool int, a float
-    any non-bool number, and a nullable key also takes null (None). A large
-    value is shortened in the message."""
+    any non-bool number, and a nullable key also takes null (None). An int
+    or float must be finite, which an int too large for a float is not. A
+    large value is shortened in the message."""
     if not (value is None and nullable
             or isinstance(value, (int, float) if typ is float else typ)
             and (typ is bool or not isinstance(value, bool))):
         null = " or null" if nullable else ""
         raise error(f"{name} must be {typ.__name__}{null}, got {reprlib.repr(value)}")
-
-
-def check_number(value, typ: type, least, name: str, error: type[GmmAdaptError]) -> None:
-    """check_type for a non-null typ, then raise error unless value is
-    finite, which an int too large for a float is not, and >= least."""
-    check_type(value, typ, False, name, error)
     try:
-        finite = math.isfinite(value)
+        finite = not isinstance(value, (int, float)) or math.isfinite(value)
     except OverflowError:
         finite = False
     if not finite:
         raise error(f"{name} must be finite, got {reprlib.repr(value)}")
+
+
+def check_number(value, typ: type, least, name: str, error: type[GmmAdaptError]) -> None:
+    """check_type for a non-null typ, then raise error unless value >= least."""
+    check_type(value, typ, False, name, error)
     if value < least:
         raise error(f"{name} must be >= {least}, got {reprlib.repr(value)}")
 
@@ -102,6 +98,12 @@ def check_keys(doc, keys, what: str, error: type[GmmAdaptError]) -> None:
     got, want = set(doc) if isinstance(doc, dict) else set(), set(keys)
     if got != want:
         raise error(f"{what} keys: missing {sorted(want - got)}, unexpected {sorted(got - want)}")
+
+
+def check_fields(obj, error: type[GmmAdaptError]) -> None:
+    """check_type on each field of a dataclass instance, named by its key."""
+    for name, (key, typ, nullable) in declared_types(type(obj)).items():
+        check_type(getattr(obj, name), typ, nullable, key, error)
 
 
 @functools.cache
@@ -122,8 +124,8 @@ def read_dataclass(cls, doc, what: str, error: type[GmmAdaptError], prefix=""):
     """The cls a JSON object describes. Each field is read from its key
     (see declared_types), a dataclass field from a nested object the same
     way. error reports the keys of an object (named what, a nested one by
-    its path), a value's type, a non-finite float, or the constructor's
-    complaint, such as a value out of range; a value is named by its path."""
+    its path), check_type's complaint about a value, or the constructor's,
+    such as a value out of range; a value is named by its path."""
     types = declared_types(cls)
     check_keys(doc, [key for key, _, _ in types.values()], what, error)
     values = {}
@@ -133,8 +135,6 @@ def read_dataclass(cls, doc, what: str, error: type[GmmAdaptError], prefix=""):
             value = read_dataclass(typ, value, path, error, path + ".")
         else:
             check_type(value, typ, nullable, path, error)
-            if typ is float and value is not None:
-                check_number(value, typ, -math.inf, path, error)
         values[name] = value
     try:
         return cls(**values)

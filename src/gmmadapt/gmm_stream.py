@@ -43,6 +43,7 @@ import numpy as np
 from . import linalg
 from .errors import (DimensionMismatch, MalformedFile, NoInitializedMode, NonFiniteInput,
                      check_keys, check_number, check_type)
+from .toy_model import softmax
 
 # Classes per stacked scatter or Cholesky, chosen by measurement so that
 # a block's work arrays stay in a core's L2 cache. Each (BLOCK, n, d) or
@@ -207,15 +208,12 @@ class GaussianMixtureStream:
         return out
 
     def likelihood_vectors(self, feats: np.ndarray) -> np.ndarray:
-        """Normalized per-class likelihoods via log-sum-exp, rows sum to 1.
+        """Softmax of the class log-densities: per-class likelihoods, rows sum to 1.
 
         Uninitialized modes are excluded from the normalization and get
         probability 0 (a -inf log-density contributes nothing).
         """
-        logp = self.class_log_likelihoods_batch(feats)
-        shift = np.max(logp, axis=1, keepdims=True)
-        expd = np.exp(logp - shift)
-        return expd / expd.sum(axis=1, keepdims=True)
+        return softmax(self.class_log_likelihoods_batch(feats))
 
     def prototypes(self) -> tuple[np.ndarray, np.ndarray]:
         """(class indices, means) of all initialized modes."""

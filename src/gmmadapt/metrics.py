@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch, MalformedFile, read_dataclass
+from .errors import DimensionMismatch, MalformedFile, check_fields, read_dataclass
 from .linalg import packed_size
 from .ood_gate import DISCARDED
 
@@ -43,6 +43,7 @@ class MemoryModelInputs:
     teacher_params: int = 24_000_000
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         for name, value in vars(self).items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -134,7 +135,7 @@ def score_batch(
     predictions = np.asarray(predictions)
     pseudo_labels = np.asarray(pseudo_labels)
     if not (true_labels.shape == predictions.shape == pseudo_labels.shape):
-        raise LengthMismatch("labels, predictions and pseudo-labels must align")
+        raise DimensionMismatch("labels, predictions and pseudo-labels must align")
 
     known_mask = true_labels < n_classes
     unknown_mask = ~known_mask

@@ -84,7 +84,6 @@ def contrastive_loss(
     if temperature <= 0:
         raise ValueError("temperature must be positive")
 
-    n2 = feats.shape[0]
     tau = float(temperature)
     participant = labels != DISCARDED
     known = (labels >= 0) & (labels < n_classes)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlreadyFrozen, BatchTooSmall, DimensionMismatch, NonFiniteInput, Uncalibrated
+from .errors import (AlreadyFrozen, BatchTooSmall, DimensionMismatch, NonFiniteInput, Uncalibrated,
+                     check_fields)
 
 DISCARDED = -1
 
@@ -68,6 +69,7 @@ class ThresholdState:
     batches_seen: int = 0
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         if self.n_init < 1:
             raise ValueError("n_init must be positive")
         if not 0.0 < self.p_reject < 100.0:

@@ -104,7 +104,9 @@ class Setup:
 
 
 def prepare_setup(cfg: RunConfig, model_path: str | None = None) -> Setup:
-    """Build the task and train the source model, or load it from model_path."""
+    """Build the task and train the source model, or load it from model_path.
+    ConfigError for a config that does not validate, edited in place or not."""
+    cfg.validate()
     source, stream = build_task(cfg)
     if model_path is not None:
         model = ToyModel.load(model_path)
@@ -127,7 +129,9 @@ class AdaptResult:
 
 
 def adapt_stream(cfg: RunConfig, model: ToyModel, stream: TargetStream) -> AdaptResult:
-    """Run the online loop over one target stream, mutating the model."""
+    """Run the online loop over one target stream, mutating the model.
+    ConfigError, before any batch, for a config that does not validate."""
+    cfg.validate()
     n_classes = cfg.shift.n_source_classes
     gmm = GaussianMixtureStream(n_classes, cfg.fd_r, cfg.jitter)
     thresholds = ThresholdState(n_init=cfg.n_init, p_reject=cfg.p_reject)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSplit
+from .errors import InvalidSplit, check_fields
 
 SHIFT_KINDS = ("PDA", "ODA", "OPDA")
 
@@ -33,6 +33,7 @@ class ShiftSpec:
     n_target_private: int
 
     def __post_init__(self):
+        check_fields(self, InvalidSplit)
         if self.kind not in SHIFT_KINDS:
             raise InvalidSplit(f"kind must be one of {SHIFT_KINDS}, got {self.kind!r}")
         if self.n_shared < 1 or min(self.n_source_private, self.n_target_private) < 0:
@@ -81,6 +82,9 @@ class DomainSpec:
     noise_sigma_target: float = 1.0
 
     def __post_init__(self):
+        check_fields(self, ValueError)
+        if self.d_in < 1:
+            raise ValueError("d_in must be positive")
         if self.class_sep <= 0:
             raise ValueError("class_sep must be positive")
         if self.rotation_seed is not None and self.rotation_seed < 0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DimensionMismatch, MalformedFile, NonFiniteGradient, NonFiniteInput,
-                     check_keys, check_number)
+                     check_fields, check_keys, check_number)
 
 # model.ckpt's layout. The metadata: its int keys, in the order written, and
 # their least values. Then each parameter, in init draw order: its shape and
@@ -49,6 +49,7 @@ class OptimizerConfig:
     momentum: float = 0.9
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
@@ -62,7 +63,6 @@ class ForwardCache:
     x: np.ndarray               # (n, d_in)
     hidden: np.ndarray          # (n, fd), tanh activations g(x)
     reduced: np.ndarray | None  # (n, fd_r), r(g(x)); None without the reduction head
-    logits: np.ndarray | None   # (n, n_classes); None without the classifier
     probs: np.ndarray | None    # (n, n_classes), softmax rows; None without the classifier
 
 
@@ -104,13 +104,12 @@ class ToyModel:
             raise NonFiniteInput("input contains non-finite values")
         p = self.params
         hidden = np.tanh(x @ p["W_g"].T + p["b_g"])
-        reduced = logits = probs = None
+        reduced = probs = None
         if reduction:
             reduced = hidden @ p["W_r"].T + p["b_r"]
         if classifier:
-            logits = hidden @ p["W_h"].T + p["b_h"]
-            probs = softmax(logits)
-        return ForwardCache(x=x, hidden=hidden, reduced=reduced, logits=logits, probs=probs)
+            probs = softmax(hidden @ p["W_h"].T + p["b_h"])
+        return ForwardCache(x=x, hidden=hidden, reduced=reduced, probs=probs)
 
     def backward(
         self,
@@ -130,7 +129,7 @@ class ToyModel:
         grads = {}
         d_hidden = np.zeros_like(cache.hidden)
         heads = (("d_reduced", d_reduced, cache.reduced, "W_r", "b_r"),
-                 ("d_logits", d_logits, cache.logits, "W_h", "b_h"))
+                 ("d_logits", d_logits, cache.probs, "W_h", "b_h"))
         for name, upstream, output, W, b in heads:
             if upstream is None:
                 continue
@@ -181,8 +180,8 @@ class ToyModel:
     def load(cls, path) -> "ToyModel":
         """Read a checkpoint written by save: MalformedFile for any other
         file, for metadata other than the written keys with int values in
-        range or for an array not of native float64, DimensionMismatch for
-        an array its metadata does not fit.
+        range or for an array not of native float64 or not finite,
+        DimensionMismatch for an array its metadata does not fit.
         Every array is checked before the model is built from the file's
         arrays, so a bad file costs no more memory than its own size.
         """
@@ -210,6 +209,9 @@ class ToyModel:
                 if array.dtype != np.float64:
                     raise MalformedFile(f"{path} is not a model checkpoint: array {prefix}_{name}"
                                         f" has dtype {array.dtype}, expected float64")
+                if not np.all(np.isfinite(array)):
+                    raise MalformedFile(f"{path} is not a model checkpoint: array {prefix}_{name}"
+                                        " holds a non-finite value")
         model = cls.__new__(cls)  # not __init__: its seeded init would be thrown away
         vars(model).update({key: meta[key] for key in _META_LEAST if key != "format_version"})
         model.params = {k: arrays[f"param_{k}"] for k in PARAM_NAMES}

@@ -178,7 +178,7 @@ def test_criterion_3_gradient_suite():
             loss_c, d_feats = contrastive_loss(cache.reduced, labels2, protos, n_classes, 0.1)
             loss_k, d_logits_half = kld_loss(cache.probs[:n_b], labels, n_classes)
             if want_grads:
-                d_logits = np.zeros_like(cache.logits)
+                d_logits = np.zeros_like(cache.probs)
                 d_logits[:n_b] = lam * d_logits_half
                 return m.backward(cache, d_reduced=d_feats, d_logits=d_logits)
             return loss_c + lam * loss_k

@@ -318,6 +318,17 @@ class TestAdaptCommand:
         assert len(resolved["derived"]["shift_translation"]) == 12
         assert np.linalg.norm(resolved["derived"]["shift_translation"]) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("value,message", [
+        ("0", "d_in must be positive"),
+        ("-3", "d_in must be positive"),
+        ("3", "domain.d_in must be at least 4 for 12 classes, one orthant each"),
+    ])
+    def test_too_few_input_dimensions_is_config_error(self, tmp_path, capsys, value, message):
+        out = tmp_path / "run"
+        assert main(["adapt", "--domain-d-in", value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("path", FLOAT_KEYS, ids=[".".join(p) for p in FLOAT_KEYS])
     def test_non_finite_float_flag_is_config_error(self, tmp_path, capsys, path, value):
@@ -408,6 +419,19 @@ class TestMalformedRunFiles:
         self._assert_file_error(capsys, ["adapt", "--config", str(small_run / "config.json"),
                                          "--model", str(ckpt), "--out", str(tmp_path / "run")],
                                 "nometa.ckpt is not a model checkpoint", "meta")
+        assert not (tmp_path / "run").exists()
+
+    def test_model_checkpoint_holding_a_nan(self, tmp_path, small_run, capsys):
+        with np.load(small_run / "source.ckpt") as data:
+            arrays = {k: data[k] for k in data.files}
+        arrays["param_W_h"][0, 0] = np.nan
+        ckpt = tmp_path / "bad.ckpt"
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **arrays)
+        self._assert_file_error(capsys, ["adapt", "--config", str(small_run / "config.json"),
+                                         "--model", str(ckpt), "--out", str(tmp_path / "run")],
+                                "bad.ckpt is not a model checkpoint",
+                                "array param_W_h holds a non-finite value")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("edit,fragment", [

@@ -1,5 +1,7 @@
 import json
+import math
 import re
+import reprlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,9 +9,12 @@ import numpy as np
 import pytest
 
 from gmmadapt.config import RunConfig, config_keys, default_config, load_config
-from gmmadapt.errors import ConfigError
+from gmmadapt.errors import ConfigError, InvalidSplit, declared_types
+from gmmadapt.metrics import MemoryModelInputs
+from gmmadapt.ood_gate import ThresholdState
 from gmmadapt.runner import run_sweep
-from gmmadapt.simulator import ShiftSpec
+from gmmadapt.simulator import DomainSpec, ShiftSpec
+from gmmadapt.toy_model import OptimizerConfig
 
 
 class TestDefaults:
@@ -114,11 +119,15 @@ RANGE_MESSAGES = {
     "n_b": "batch size must be at least 4 (threshold calibration)",
     "jitter": "jitter must be nonnegative",
 }
-# A value of the wrong type is named in the words of a config file on every path.
+# A value of the wrong type, or a number that is not finite, is named in the
+# words of a config file on every path.
 TYPE_MESSAGES = {
     ("p_reject", "40"): "p_reject must be float, got '40'",
     ("n_b", "64"): "n_b must be int, got '64'",
     ("lr", None): "lr must be float, got None",
+    ("temperature", math.nan): "temperature must be finite, got nan",
+    ("lr", math.inf): "lr must be finite, got inf",
+    ("n_b", 10**400): f"n_b must be finite, got {reprlib.repr(10**400)}",
 }
 BAD_SCALARS = [("p_reject", 0.0), ("p_reject", 100.0), ("n_init", 0), ("temperature", 0.0),
                ("lambda", -0.5), ("lr", 0.0), ("momentum", 1.0), ("loss_mode", "off"),
@@ -286,6 +295,32 @@ class TestFiniteFloats:
         # json writes NaN and Infinity, and reads them back as floats
         with pytest.raises(ConfigError, match=f"^{'.'.join(path)} must be finite, got"):
             load_doc(tmp_path, with_value(path, value))
+
+
+# Each self-checking dataclass a run builds besides RunConfig: the error it
+# raises, and the keyword arguments of a valid instance.
+SELF_CHECKING = {
+    ShiftSpec: (InvalidSplit, dict(kind="OPDA", n_shared=6, n_source_private=3,
+                                   n_target_private=3)),
+    DomainSpec: (ValueError, dict(d_in=20, class_sep=6.0, rotation_seed=1)),
+    ThresholdState: (ValueError, dict(n_init=30, p_reject=50.0)),
+    OptimizerConfig: (ValueError, dict(learning_rate=0.1)),
+    MemoryModelInputs: (ValueError, {}),
+}
+NUMERIC_FIELDS = [(cls, name, typ) for cls in SELF_CHECKING
+                  for name, (_, typ, _) in declared_types(cls).items() if typ in (int, float)]
+
+
+@pytest.mark.parametrize("cls,name,typ", NUMERIC_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _ in NUMERIC_FIELDS])
+def test_bad_number_is_the_class_error_naming_the_field(cls, name, typ):
+    error, valid = SELF_CHECKING[cls]
+    cls(**valid)
+    too_large = [10**400] if typ is int else []
+    for value in [math.nan, math.inf, -math.inf, True, "1", *too_large]:
+        with pytest.raises(error) as info:
+            cls(**dict(valid, **{name: value}))
+        assert type(info.value) is error and str(info.value).startswith(f"{name} must be "), value
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,9 +1,12 @@
-"""Every name a gmmadapt module imports is used in that module.
+"""Every name a gmmadapt module imports is used in that module, and every
+name a function assigns is read.
 
-No linter ships with the project, so this stdlib check stands in for the
-unused-import rule: a refactor that removes the last use of an imported
-name must remove the import too. __init__.py imports to re-export, and
-`from __future__` imports are directives, so both are exempt.
+No linter ships with the project, so these stdlib checks stand in for the
+unused-import and unused-variable rules: a refactor that removes the last
+use of an imported name or a local must remove the import or the
+assignment too. __init__.py imports to re-export, and `from __future__`
+imports are directives, so both are exempt; so are `_` and the names a
+function declares global or nonlocal.
 """
 import ast
 from pathlib import Path
@@ -34,3 +37,44 @@ def test_every_import_is_used(path):
 def test_check_sees_an_unused_import():
     source = "from .config import RunConfig, field_name\nRunConfig()\n"
     assert unused_imports(source) == ["field_name"]
+
+
+def own_nodes(func):
+    """The nodes of a function's body, without those of a function or class in it."""
+    todo = list(func.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """function.name for each name a function assigns and nothing in it,
+    nested functions included, reads."""
+    unused = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exempt = {"_", *read}
+        stored = set()
+        for node in own_nodes(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                exempt.update(node.names)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.add(node.id)
+        unused += sorted(f"{func.name}.{name}" for name in stored - exempt)
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_local_is_read(path):
+    assert unused_locals(path.read_text()) == []
+
+
+def test_check_sees_an_unused_local():
+    source = ("def outer(x):\n    _, y, n2 = x\n    def inner():\n        return y\n"
+              "    return inner\n")
+    assert unused_locals(source) == ["outer.n2"]

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from gmmadapt.errors import LengthMismatch, MalformedFile
+from gmmadapt.errors import DimensionMismatch, MalformedFile
 from gmmadapt.gmm_stream import GaussianMixtureStream
 from gmmadapt.metrics import (
     CSV_COLUMNS,
@@ -106,7 +106,7 @@ class TestScoreBatch:
         assert rates["h_score"] is None
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             score_batch(np.zeros(3), np.zeros(2), np.zeros(3), 2)
 
 

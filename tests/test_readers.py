@@ -6,6 +6,7 @@ not an object at the top level, a key missing, a key added, a bool in an
 int key, a string in a float key. Each fault must raise a GmmAdaptError
 whose message ends in the shared shape: "<what> keys: missing [...],
 unexpected [...]" or "<name> must be <type>[ or null], got <value>".
+A model checkpoint is also fed with one non-finite entry in each array.
 """
 import json
 import re
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 from gmmadapt.config import RunConfig, default_config, load_config
-from gmmadapt.errors import GmmAdaptError
+from gmmadapt.errors import GmmAdaptError, MalformedFile
 from gmmadapt.gmm_stream import GaussianMixtureStream
 from gmmadapt.metrics import BatchCounts, RunRecord, read_jsonl
 from gmmadapt.runner import replay
-from gmmadapt.toy_model import ToyModel
+from gmmadapt.toy_model import PARAM_NAMES, ToyModel
 
 
 def _record_obj(batch=1) -> dict:
@@ -42,12 +43,17 @@ def _feed_metrics(doc, tmp_path):
     return read_jsonl(path)
 
 
-def _feed_model_meta(doc, tmp_path):
+def _feed_model_meta(doc, tmp_path, non_finite=None):
+    """Load a checkpoint with metadata doc; non_finite, when given, is
+    (array name, value) to put in that array's first entry."""
     path = tmp_path / "model.ckpt"
     model = ToyModel(d_in=3, fd=4, fd_r=2, n_classes=3, seed=13)
     arrays = {f"{prefix}_{k}": v for prefix, store in (("param", model.params),
                                                       ("vel", model.velocity))
               for k, v in store.items()}
+    if non_finite is not None:
+        name, value = non_finite
+        arrays[name].flat[0] = value
     with open(path, "wb") as fh:
         np.savez(fh, meta=json.dumps(doc), **arrays)
     return ToyModel.load(path)
@@ -113,3 +119,14 @@ def test_reader_rejects_fault_in_shared_words(tmp_path, name, fault, pattern):
     with pytest.raises(GmmAdaptError) as info:
         feed(fault(make()), tmp_path)
     assert re.search(f"(?:{pattern})$", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("array", [f"{prefix}_{k}" for k in PARAM_NAMES
+                                   for prefix in ("param", "vel")])
+def test_model_reader_rejects_a_non_finite_array(tmp_path, array, value):
+    make, feed = READERS["ToyModel.load"][:2]
+    with pytest.raises(MalformedFile) as info:
+        feed(make(), tmp_path, (array, value))
+    assert str(info.value) == (f"{tmp_path / 'model.ckpt'} is not a model checkpoint: "
+                               f"array {array} holds a non-finite value")

@@ -1,5 +1,6 @@
 """Set-up sharing in run_sweep: setup_key names exactly the inputs of the
-task and the source model, and a sweep builds each distinct set-up once."""
+task and the source model, and a sweep builds each distinct set-up once.
+A config edited in place is checked where a run uses it."""
 import copy
 import functools
 import hashlib
@@ -9,7 +10,7 @@ import pytest
 
 from gmmadapt import runner
 from gmmadapt.config import config_keys, load_config
-from gmmadapt.errors import GmmAdaptError
+from gmmadapt.errors import ConfigError, GmmAdaptError
 
 TINY = {
     "seed": 5,
@@ -130,3 +131,23 @@ class TestSweepSetups:
         runner.run_adapt(cfg, tmp_path / "b", setup=setup)
         assert ((tmp_path / "a" / "metrics.jsonl").read_bytes()
                 == (tmp_path / "b" / "metrics.jsonl").read_bytes())
+
+
+class NoBatches:
+    """A target stream that fails the test if a batch is drawn."""
+
+    def __iter__(self):
+        raise AssertionError("a batch was drawn")
+
+
+class TestConfigEditedInPlace:
+    @pytest.mark.parametrize("start", [
+        lambda cfg, setup: runner.prepare_setup(cfg),
+        lambda cfg, setup: runner.adapt_stream(cfg, setup.model.copy(), NoBatches()),
+    ], ids=["prepare_setup", "adapt_stream"])
+    def test_nan_is_config_error_before_any_batch(self, start):
+        cfg = load_config(None, TINY)
+        setup = runner.prepare_setup(cfg)
+        cfg.temperature = float("nan")
+        with pytest.raises(ConfigError, match=r"^temperature must be finite, got nan$"):
+            start(cfg, setup)

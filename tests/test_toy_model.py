@@ -79,9 +79,8 @@ class TestForward:
         reduction = model.forward(x, classifier=False)
         classifier = model.forward(x, reduction=False)
         assert reduction.reduced.tobytes() == full.reduced.tobytes()
-        assert reduction.logits is None and reduction.probs is None
+        assert reduction.probs is None
         assert classifier.reduced is None
-        assert classifier.logits.tobytes() == full.logits.tobytes()
         assert classifier.probs.tobytes() == full.probs.tobytes()
 
 
