@@ -12,16 +12,20 @@ results are those of ``dtrtrs`` bit for bit.
 
 ``dtrsm`` is called through ctypes in the OpenBLAS that scipy's wheel
 bundles (``scipy.libs/libscipy_openblas-*.so``), the library behind
-``scipy.linalg.blas.dtrsm``. Importing ``scipy.linalg`` for it would add
-about 26 MB of RSS to every process.
+``scipy.linalg.blas.dtrsm``. ``expm``, for the domain rotation, calls the
+compiled Padé routines behind ``scipy.linalg.expm``, loaded on first use
+from their extension module's file, and gets its bits. Importing
+``scipy.linalg`` for either would add about 26 MB of RSS to every process.
 """
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.machinery
 import importlib.util
 import os
-from functools import lru_cache
+import sys
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -30,6 +34,14 @@ from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 LOG_2PI = float(np.log(2.0 * np.pi))
 # Jitter doublings a failing matrix gets before NotPositiveDefinite.
 MAX_RETRIES = 8
+
+
+def _scipy_path(*parts: str) -> str:
+    """A path in the directory scipy is installed in, found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        raise ImportError("gmmadapt needs scipy's compiled routines, and scipy is not installed")
+    return os.path.join(os.path.dirname(os.path.dirname(spec.origin)), *parts)
 
 
 def _load_dtrsm():
@@ -43,11 +55,7 @@ def _load_dtrsm():
     made a 345-mode solve 0.6 ms slower than ``scipy.linalg.blas.dtrsm``
     (2-vCPU host, one BLAS thread).
     """
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or spec.origin is None:
-        raise ImportError("gmmadapt needs scipy's bundled OpenBLAS, and scipy is not installed")
-    pattern = os.path.join(os.path.dirname(os.path.dirname(spec.origin)),
-                           "scipy.libs", "libscipy_openblas-*.so")
+    pattern = _scipy_path("scipy.libs", "libscipy_openblas-*.so")
     found = sorted(glob.glob(pattern))
     if not found:
         raise ImportError(f"no library matches {pattern}: gmmadapt needs a scipy wheel "
@@ -63,6 +71,57 @@ def _load_dtrsm():
 _dtrsm = _load_dtrsm()
 # dtrsm's side, uplo, trans and diag flags: L, U, T, N
 _FLAGS = tuple(ctypes.c_char_p(flag) for flag in (b"L", b"U", b"T", b"N"))
+
+
+@cache
+def _expm_module():
+    """scipy's extension module ``scipy.linalg._matfuncs_expm``, loaded once.
+
+    It is loaded from its file, so ``scipy/linalg/__init__.py`` never runs,
+    under its own name in ``sys.modules``, so that it and a later ``import
+    scipy.linalg`` share one module object. No fallback: a missing file or
+    routine is an ImportError that names the path searched.
+    """
+    name = "scipy.linalg._matfuncs_expm"
+    module = sys.modules.get(name)
+    if module is None:
+        base = _scipy_path("scipy", "linalg", "_matfuncs_expm")
+        suffixes = importlib.machinery.EXTENSION_SUFFIXES
+        path = next((base + sfx for sfx in suffixes if os.path.isfile(base + sfx)), None)
+        if path is None:
+            raise ImportError(f"no extension module {base}{{{','.join(suffixes)}}}: "
+                              "gmmadapt needs scipy's compiled expm routines")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    if not all(hasattr(module, fn) for fn in ("pick_pade_structure", "pade_UV_calc")):
+        raise ImportError(f"{module.__file__} lacks pick_pade_structure or pade_UV_calc")
+    return module
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square float64 matrix, bit for bit as ``scipy.linalg.expm``:
+    its compiled routines pick the Padé degree m and scaling s and evaluate
+    the approximant of a / 2**s, which is then squared s times. scipy takes
+    a diagonal or triangular matrix down other paths, so one with no nonzero
+    entry on one side of its diagonal is a ValueError.
+    """
+    if not (np.tril(a, -1).any() and np.triu(a, 1).any()):
+        raise ValueError("expm needs nonzero entries on both sides of the diagonal")
+    routines = _expm_module()
+    am = np.empty((5,) + a.shape)
+    am[0] = a
+    m, s = routines.pick_pade_structure(am)
+    if m < 0:
+        raise MemoryError(f"pick_pade_structure could not allocate memory (error code {m})")
+    info = routines.pade_UV_calc(am, m)
+    if info != 0:
+        raise RuntimeError(f"pade_UV_calc failed (error code {info})")
+    e = am[0].copy()
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def packed_size(dim: int) -> int:

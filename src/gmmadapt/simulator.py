@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSplit, check_fields
+from .linalg import expm
 
 SHIFT_KINDS = ("PDA", "ODA", "OPDA")
 
@@ -69,8 +70,12 @@ class DomainSpec:
 
     rotation_seed None means the identity rotation; otherwise a seeded
     skew-symmetric generator is exponentiated, with rotation_strength
-    scaling the angle (0 recovers the identity smoothly). The translation
-    has length translation_scale along a direction seeded by rotation_seed.
+    scaling the angle (0 recovers the identity smoothly). The exponential
+    is ``linalg.expm``, the bits of ``scipy.linalg.expm`` without importing
+    ``scipy.linalg``. A 1-dimensional domain is never rotated, and a
+    strength so large that the rotation overflows is a ValueError. The
+    translation has length translation_scale along a direction seeded by
+    rotation_seed.
     """
 
     d_in: int
@@ -93,17 +98,18 @@ class DomainSpec:
             raise ValueError("noise sigmas must be positive")
 
     def rotation(self) -> np.ndarray:
-        if self.rotation_seed is None or self.rotation_strength == 0.0:
+        # the only rotation of a line is the identity (its 1 x 1 skew is 0)
+        if self.rotation_seed is None or self.rotation_strength == 0.0 or self.d_in == 1:
             return np.eye(self.d_in)
-        # imported here so that only a rotated domain loads scipy.linalg
-        # (about 26 MB of RSS)
-        from scipy.linalg import expm
-
         rng = np.random.default_rng(np.random.SeedSequence(self.rotation_seed))
         a = rng.standard_normal((self.d_in, self.d_in))
         skew = (a - a.T) / 2.0
         skew *= 1.0 / np.linalg.norm(skew, 2)  # unit spectral norm generator
-        return expm(self.rotation_strength * skew)
+        rot = expm(self.rotation_strength * skew)
+        if not np.all(np.isfinite(rot)):
+            raise ValueError(f"rotation_strength {self.rotation_strength:g} is too large: "
+                             "the rotation overflows")
+        return rot
 
     def translation(self) -> np.ndarray:
         if self.translation_scale == 0.0:

@@ -329,6 +329,25 @@ class TestAdaptCommand:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    def test_one_dimensional_domain_runs(self, tmp_path, small_config, capsys):
+        """2 classes fit in 1 input dimension, whose only rotation is the
+        identity; the seeded rotation does not turn into NaN inputs."""
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--shift-kind", "PDA",
+                     "--shift-n-shared", "1", "--shift-n-source-private", "1",
+                     "--shift-n-target-private", "0", "--domain-d-in", "1",
+                     "--n-batches", "4", "--n-init", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert len((out / "metrics.jsonl").read_text().splitlines()) == 4
+
+    def test_overflowing_rotation_strength_is_config_error(self, tmp_path, small_config, capsys):
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--domain-rotation-strength", "1e300",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: rotation_strength 1e+300 is too large: the rotation overflows\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("path", FLOAT_KEYS, ids=[".".join(p) for p in FLOAT_KEYS])
     def test_non_finite_float_flag_is_config_error(self, tmp_path, capsys, path, value):
@@ -802,6 +821,35 @@ class TestInstalledEntryPoint:
                               capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 1
         assert "ImportError: no library matches " + str(tmp_path / "scipy.libs") in proc.stderr
+
+    def test_scipy_without_expm_module_fails_at_the_first_rotation(self, package_env, tmp_path):
+        """No silent fallback: with scipy's bundled OpenBLAS present but no
+        scipy/linalg/_matfuncs_expm module, the package imports and a
+        9-class mixture step runs, and the first rotation raises an
+        ImportError naming the path searched."""
+        import scipy
+
+        (tmp_path / "scipy").mkdir()
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        (tmp_path / "scipy.libs").symlink_to(Path(scipy.__file__).parents[1] / "scipy.libs")
+        env = dict(package_env, PYTHONPATH=f"{tmp_path}{os.pathsep}{package_env['PYTHONPATH']}")
+        script = (
+            "import numpy as np\n"
+            "import gmmadapt\n"
+            "rng = np.random.default_rng(0)\n"
+            "gmm = gmmadapt.GaussianMixtureStream(9, 16)\n"
+            "feats = rng.standard_normal((64, 16))\n"
+            "gmm.update(feats, rng.dirichlet(np.ones(9), size=64))\n"
+            "assert np.allclose(gmm.likelihood_vectors(feats).sum(axis=1), 1.0)\n"
+            "print('step ran', flush=True)\n"
+            "gmmadapt.DomainSpec(d_in=4, class_sep=4.0, rotation_seed=1).rotation()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert proc.stdout == "step ran\n"
+        searched = tmp_path / "scipy" / "linalg" / "_matfuncs_expm"
+        assert f"ImportError: no extension module {searched}{{" in proc.stderr
 
     def test_unset_thread_variables_give_the_one_thread_bytes(self, package_env, tmp_path):
         """With no BLAS thread variable set, a run writes the bytes of a

@@ -666,25 +666,34 @@ class TestBlockPool:
     def test_default_run_starts_no_thread(self, package_env, tmp_path):
         """9 classes are one block, run in the calling thread: a 9-class
         mixture step does not import concurrent.futures, and the default run
-        makes no pool and starts no thread. (The run itself loads the module:
-        scipy.linalg, imported to build the domain rotation, imports it.)"""
+        makes no pool and starts no thread. Neither a default run nor a
+        2-cell sweep of them, rotated domain included, loads
+        concurrent.futures or scipy.linalg."""
         script = (
             "import sys, threading\n"
             "from dataclasses import replace\n"
+            "from pathlib import Path\n"
             "import numpy as np\n"
-            "from gmmadapt import GaussianMixtureStream, default_config, gmm_stream, run_adapt\n"
+            "from gmmadapt import (GaussianMixtureStream, default_config, gmm_stream, run_adapt,\n"
+            "                      run_sweep)\n"
+            "def loaded():\n"
+            "    return [m for m in ('concurrent.futures', 'scipy.linalg') if m in sys.modules]\n"
             "rng = np.random.default_rng(0)\n"
             "gmm = GaussianMixtureStream(9, 16)\n"
             "feats = rng.standard_normal((64, 16))\n"
             "gmm.update(feats, rng.dirichlet(np.ones(9), size=64)).likelihood_vectors(feats)\n"
-            "print('concurrent.futures' in sys.modules)\n"
-            f"run_adapt(replace(default_config(), n_batches=4, n_init=2), {str(tmp_path)!r})\n"
-            "print(gmm_stream._pool, threading.active_count())\n"
+            "print(loaded())\n"
+            "cfg = replace(default_config(), n_batches=4, n_init=2)\n"
+            "assert cfg.domain.rotation_seed is not None and cfg.domain.rotation_strength != 0\n"
+            f"run_adapt(cfg, Path({str(tmp_path)!r}) / 'run')\n"
+            "print(gmm_stream._pool, threading.active_count(), loaded())\n"
+            f"run_sweep(cfg, 'p_reject', [30.0, 70.0], 1, Path({str(tmp_path)!r}) / 'sweep')\n"
+            "print(gmm_stream._pool, threading.active_count(), loaded())\n"
         )
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, timeout=120, env=package_env)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\nNone 1\n"
+        assert proc.stdout == "[]\nNone 1 []\nNone 1 []\n"
 
 
 def reachable_reals(gmm) -> int:

@@ -1,5 +1,5 @@
-"""Every name a gmmadapt module imports is used in that module, and every
-name a function assigns is read.
+"""Every name a gmmadapt module imports is used in that module, every
+name a function assigns is read, and no module imports scipy.
 
 No linter ships with the project, so these stdlib checks stand in for the
 unused-import and unused-variable rules: a refactor that removes the last
@@ -37,6 +37,33 @@ def test_every_import_is_used(path):
 def test_check_sees_an_unused_import():
     source = "from .config import RunConfig, field_name\nRunConfig()\n"
     assert unused_imports(source) == ["field_name"]
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The module named by each import statement that imports scipy or a
+    part of it."""
+    named = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            named.append(node.module)
+    return [name for name in named if name == "scipy" or name.startswith("scipy.")]
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=[p.name for p in MODULES] + ["__init__.py"])
+def test_no_module_imports_scipy(path):
+    """scipy's compiled code is loaded from its files (linalg.py): importing
+    scipy.linalg alone would add about 26 MB of RSS to a run."""
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_check_sees_a_scipy_import():
+    source = ("import numpy, scipy.linalg as sl\nfrom scipy import special\n"
+              "from .scipyish import x\nimport scipyish\n"
+              "def f():\n    from scipy.linalg import expm\n")
+    assert scipy_imports(source) == ["scipy.linalg", "scipy", "scipy.linalg"]
 
 
 def own_nodes(func):

@@ -292,3 +292,26 @@ class TestWeightedOuterAccumulate:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             linalg.weighted_scatter(np.zeros((1, 3)), np.ones((1, 1)), np.zeros((1, 2)))
+
+
+class TestExpm:
+    def test_general_matrices_take_scipy_expm_bits(self):
+        """Skew and general matrices over sizes and scales, squarings included."""
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(0)
+        for k in range(30):
+            n = int(rng.integers(2, 40))
+            a = rng.standard_normal((n, n))
+            if k % 3:
+                a = (a - a.T) / 2.0
+            a *= 10.0 ** rng.uniform(-3.0, 1.3) / np.linalg.norm(a, 2)
+            assert np.array_equal(linalg.expm(a), expm(a))
+
+    @pytest.mark.parametrize("a", [np.diag([1.0, 2.0, 3.0]),
+                                   np.triu(np.ones((3, 3))), np.tril(np.ones((3, 3)))],
+                             ids=["diagonal", "upper", "lower"])
+    def test_triangular_matrix_is_a_value_error(self, a):
+        """scipy.linalg.expm computes these on paths the Padé glue does not copy."""
+        with pytest.raises(ValueError, match="both sides of the diagonal"):
+            linalg.expm(a)

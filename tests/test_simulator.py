@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +54,81 @@ class TestDomainSpec:
         dom = default_domain(rotation_seed=3, rotation_strength=1.5)
         r = dom.rotation()
         np.testing.assert_allclose(r @ r.T, np.eye(10), atol=1e-12)
+
+    @pytest.mark.parametrize("strength", [1.0, -2.0, 1e300])
+    def test_rotation_of_a_line_is_the_identity(self, strength):
+        dom = default_domain(d_in=1, rotation_seed=3, rotation_strength=strength)
+        np.testing.assert_array_equal(dom.rotation(), np.eye(1))
+
+    @pytest.mark.parametrize("strength", [1e300, -1e300])
+    def test_overflowing_rotation_is_a_value_error(self, strength):
+        dom = default_domain(rotation_seed=3, rotation_strength=strength)
+        with pytest.raises(ValueError, match="^rotation_strength .* is too large"):
+            dom.rotation()
+
+    def test_rotation_bits_are_scipy_expm_bits(self):
+        """Over d_in, seed and a signed strength the rotation is
+        scipy.linalg.expm(strength * skew) bit for bit, orthogonal with
+        determinant +1 at moderate strengths, and the identity at 0. Some
+        examples take squarings (s > 0), the step after the Padé routines."""
+        from scipy.linalg import expm
+
+        from gmmadapt.linalg import _expm_module
+
+        squarings = []
+
+        @settings(max_examples=80, deadline=None)
+        @given(d_in=st.integers(2, 64), rotation_seed=st.integers(0, 2**32 - 1),
+               strength=st.just(0.0) | st.floats(-40.0, 40.0))
+        def check(d_in, rotation_seed, strength):
+            dom = default_domain(d_in=d_in, rotation_seed=rotation_seed,
+                                 rotation_strength=strength)
+            rot = dom.rotation()
+            if strength == 0.0:
+                np.testing.assert_array_equal(rot, np.eye(d_in))
+                return
+            a = np.random.default_rng(np.random.SeedSequence(rotation_seed)).standard_normal(
+                (d_in, d_in))
+            skew = (a - a.T) / 2.0
+            skew *= 1.0 / np.linalg.norm(skew, 2)
+            assert np.array_equal(rot, expm(strength * skew))
+            am = np.empty((5, d_in, d_in))
+            am[0] = strength * skew
+            squarings.append(_expm_module().pick_pade_structure(am)[1])
+            if abs(strength) <= 10.0:
+                np.testing.assert_allclose(rot @ rot.T, np.eye(d_in), rtol=0, atol=1e-12)
+                assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
+
+        check()
+        assert max(squarings) > 0
+
+    @pytest.mark.parametrize("rotation_first", [True, False], ids=["rotation_first", "scipy_first"])
+    def test_rotation_and_scipy_linalg_in_either_import_order(self, package_env, rotation_first):
+        """The rotation does not load scipy.linalg, and it shares one
+        _matfuncs_expm module object and its bits with scipy.linalg.expm
+        whichever of the two is imported first."""
+        build = (
+            "dom = DomainSpec(d_in=20, class_sep=6.0, rotation_seed=1, rotation_strength=2.0)\n"
+            "rot = dom.rotation()\n"
+        )
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from gmmadapt import DomainSpec\n"
+            "from gmmadapt.linalg import _expm_module\n"
+            + (build + "print('scipy.linalg' in sys.modules)\n" if rotation_first else "")
+            + "from scipy.linalg import expm, _matfuncs_expm\n"
+            + ("" if rotation_first else build)
+            + "rng = np.random.default_rng(np.random.SeedSequence(1))\n"
+            "a = rng.standard_normal((20, 20))\n"
+            "skew = (a - a.T) / 2.0\n"
+            "skew *= 1.0 / np.linalg.norm(skew, 2)\n"
+            "print(np.array_equal(rot, expm(2.0 * skew)), _matfuncs_expm is _expm_module())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=60, env=package_env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("False\n" if rotation_first else "") + "True True\n"
 
     @settings(max_examples=60, deadline=None)
     @given(d_in=st.integers(1, 64),
