@@ -9,11 +9,13 @@ builds, so it shows every effective parameter and a run can be replayed
 exactly. The dataclass fields, each under its metadata "key" or else
 its name, are the one statement of that schema: config_keys derives the
 flag set from them, to_dict writes them, and from_dict reads them with
-errors.read_dataclass. However it is built, each dataclass checks the
-types and finiteness of its own values (errors.check_fields), then their
-ranges. validate reads a config back through from_dict, which also checks
-a value set in place and the nested sections' values, and slots bar
-setting a misspelt field.
+errors.read_dataclass, which checks the keys and builds each section.
+However it is built, each dataclass checks the types and finiteness of
+its own values (errors.check_fields), then their ranges; that is the only
+value check, and read from a document a nested value's error names its
+path (domain.d_in must be positive). validate reads a config back through
+from_dict, which also checks a value set in place and the nested
+sections' values, and slots bar setting a misspelt field.
 """
 from __future__ import annotations
 

@@ -1,7 +1,8 @@
 """Exception types shared across the library, and the one value rule,
-check_type: a value has its declared type, and a number is finite. Readers
-apply it to each key of a JSON document (read_dataclass), and each
-self-checking dataclass to its own fields (check_fields) before its ranges."""
+check_type: a value has its declared type, and a number is finite. Each
+self-checking dataclass applies it to its own fields (check_fields) before
+its ranges; read_dataclass checks a JSON document's keys and builds the
+dataclasses, so a value read from a file is checked once, as it is built."""
 import dataclasses
 import functools
 import math
@@ -123,20 +124,19 @@ def declared_types(cls) -> dict[str, tuple[str, type, bool]]:
 def read_dataclass(cls, doc, what: str, error: type[GmmAdaptError], prefix=""):
     """The cls a JSON object describes. Each field is read from its key
     (see declared_types), a dataclass field from a nested object the same
-    way. error reports the keys of an object (named what, a nested one by
-    its path), check_type's complaint about a value, or the constructor's,
-    such as a value out of range; a value is named by its path."""
+    way, built before its parent. error reports the keys of an object
+    (named what, a nested one by its path) or a constructor's complaint
+    about a value, such as check_fields' or a range check's, prefixed with
+    the path of the object it builds (a nested value reads as domain.d_in)."""
     types = declared_types(cls)
     check_keys(doc, [key for key, _, _ in types.values()], what, error)
     values = {}
-    for name, (key, typ, nullable) in types.items():
+    for name, (key, typ, _) in types.items():
         value, path = doc[key], prefix + key
         if dataclasses.is_dataclass(typ):
             value = read_dataclass(typ, value, path, error, path + ".")
-        else:
-            check_type(value, typ, nullable, path, error)
         values[name] = value
     try:
         return cls(**values)
     except (TypeError, ValueError) as err:
-        raise error(str(err)) from err
+        raise error(f"{prefix}{err}") from err

@@ -25,6 +25,7 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
+import warnings
 from functools import cache, lru_cache
 
 import numpy as np
@@ -53,7 +54,17 @@ def _load_dtrsm():
     purpose: every caller passes ctypes objects of the exact C types, and
     a declared list would cost one ``from_param`` call per argument, which
     made a 345-mode solve 0.6 ms slower than ``scipy.linalg.blas.dtrsm``
-    (2-vCPU host, one BLAS thread).
+    (2-vCPU host, one BLAS thread). A ``CDLL`` call releases the GIL, so the
+    mixture's block pool solves in parallel.
+
+    Two bit-identical bindings were measured and rejected. The f2py
+    ``scipy.linalg._fblas.dtrsm``, loaded from its file like ``expm``'s
+    module, holds the GIL: ``mixture-c345``'s median ``step_ms_p50`` went
+    from 29.4 to 40.1 ms, worse in 6 of 6 alternating pairs. The ``dtrsm``
+    capsule of ``scipy.linalg.cython_blas`` left step time unchanged, but
+    that module's init imports scipy's top-level package: ``import
+    gmmadapt`` peaked 1.5 MB higher with 23 more modules loaded, and a
+    default CLI run at 50.0-50.2 MB against 48.8-48.9 MB.
     """
     pattern = _scipy_path("scipy.libs", "libscipy_openblas-*.so")
     found = sorted(glob.glob(pattern))
@@ -71,6 +82,32 @@ def _load_dtrsm():
 _dtrsm = _load_dtrsm()
 # dtrsm's side, uplo, trans and diag flags: L, U, T, N
 _FLAGS = tuple(ctypes.c_char_p(flag) for flag in (b"L", b"U", b"T", b"N"))
+
+
+def pin_openblas() -> None:
+    """Set numpy's and scipy's bundled OpenBLAS, already loaded, to one thread.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, as it loads, so numpy (or
+    ``scipy.linalg``) imported before gmmadapt keeps its default thread
+    count, and at 2 threads some configs write other bytes than at one.
+    No silent failure: a library or thread setter not found is a
+    RuntimeWarning that names the path searched and the two remedies.
+    """
+    site = os.path.dirname(os.path.dirname(np.__file__))
+    for pattern, setter in (
+        (os.path.join(site, "numpy.libs", "libscipy_openblas64_*.so"),
+         "scipy_openblas_set_num_threads64_"),
+        (_scipy_path("scipy.libs", "libscipy_openblas-*.so"), "scipy_openblas_set_num_threads"),
+    ):
+        found = sorted(glob.glob(pattern))
+        pin = getattr(ctypes.CDLL(found[0]), setter, None) if found else None
+        if pin is None:
+            warnings.warn(f"no library matching {pattern} has {setter}, so it keeps its BLAS "
+                          "threads, and a run may write other bytes than at one thread: set "
+                          "OPENBLAS_NUM_THREADS=1, or import gmmadapt before numpy",
+                          RuntimeWarning, stacklevel=2)
+        else:
+            pin(1)
 
 
 @cache

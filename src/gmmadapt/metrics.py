@@ -10,8 +10,9 @@ Records are emitted as JSONL (one object per batch, stable key order; each
 row carries a counts sub-object so summaries can be recomputed exactly
 from the file alone) and as a CSV mirror whose columns are RunRecord's
 fields, in order, but the counts. read_jsonl reads each line back with
-errors.read_dataclass, the reader of configs too; a record's rates must
-follow from its counts, and the n-th record must be batch n.
+errors.read_dataclass, the reader of configs too; a record's counts must
+be nonnegative, its rates must follow from them, and the n-th record must
+be batch n.
 """
 from __future__ import annotations
 
@@ -92,6 +93,12 @@ class BatchCounts:
     n_pl_known: int = 0
     n_pl_known_correct: int = 0
 
+    def __post_init__(self):
+        check_fields(self, ValueError)
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative")
+
 
 @dataclass
 class RunRecord:
@@ -110,6 +117,7 @@ class RunRecord:
     counts: BatchCounts = field(default_factory=BatchCounts)
 
     def __post_init__(self):
+        check_fields(self, ValueError)
         wrong = [k for k, v in rates_from_counts(self.counts).items() if getattr(self, k) != v]
         if wrong:
             raise ValueError(f"{', '.join(wrong)} do not match the counts")

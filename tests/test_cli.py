@@ -196,7 +196,7 @@ class TestAdaptCommand:
 
     @pytest.mark.parametrize("flags,message", [
         (["--seed", "-1"], "seed must be nonnegative"),
-        (["--domain-rotation-seed", "-2"], "rotation_seed must be null or nonnegative"),
+        (["--domain-rotation-seed", "-2"], "domain.rotation_seed must be null or nonnegative"),
     ], ids=["seed", "domain.rotation_seed"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, small_config, capsys, flags,
                                                 message):
@@ -319,8 +319,8 @@ class TestAdaptCommand:
         assert np.linalg.norm(resolved["derived"]["shift_translation"]) == pytest.approx(2.0)
 
     @pytest.mark.parametrize("value,message", [
-        ("0", "d_in must be positive"),
-        ("-3", "d_in must be positive"),
+        ("0", "domain.d_in must be positive"),
+        ("-3", "domain.d_in must be positive"),
         ("3", "domain.d_in must be at least 4 for 12 classes, one orthant each"),
     ])
     def test_too_few_input_dimensions_is_config_error(self, tmp_path, capsys, value, message):
@@ -346,6 +346,15 @@ class TestAdaptCommand:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             "config error: rotation_strength 1e+300 is too large: the rotation overflows\n")
+        assert not out.exists()
+
+    def test_rotation_off_orthogonal_is_config_error(self, tmp_path, small_config, capsys):
+        out = tmp_path / "run"
+        assert main(["adapt", "--config", str(small_config), "--domain-rotation-strength", "1e12",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rotation_strength 1e+12 is too large: max|R R^T - I| is ")
+        assert err.endswith(", above 1e-09\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -723,7 +732,7 @@ class TestSweepCommand:
                      "--domain-rotation-seed", "-2", "--parameter", "p_reject",
                      "--values", "40,60"]) == 2
         assert capsys.readouterr().err == (
-            "config error: rotation_seed must be null or nonnegative\n")
+            "config error: domain.rotation_seed must be null or nonnegative\n")
         assert not out.exists()
 
     def test_single_value_single_repeat_degenerates_to_adapt(self, tmp_path, small_config):
@@ -756,6 +765,20 @@ def _assert_memory_12_row(proc):
     assert "25740" in proc.stdout
     # header and the one row asked for: the default span 1:345 would also hold 25740
     assert len(proc.stdout.strip().splitlines()) == 2
+
+
+# Prints the thread counts of numpy's and then scipy's bundled OpenBLAS on
+# one line, loading scipy's library (but not scipy) if it is not loaded yet.
+PRINT_OPENBLAS_THREADS = """
+import ctypes, glob, importlib.util, os
+counts = []
+for pkg, lib, getter in (("numpy", "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_"),
+                         ("scipy", "libscipy_openblas-*.so", "scipy_openblas_get_num_threads")):
+    site = os.path.dirname(os.path.dirname(importlib.util.find_spec(pkg).origin))
+    path = glob.glob(os.path.join(site, pkg + ".libs", lib))[0]
+    counts.append(getattr(ctypes.CDLL(path), getter)())
+print(*counts)
+"""
 
 
 class TestInstalledEntryPoint:
@@ -854,38 +877,66 @@ class TestInstalledEntryPoint:
     def test_unset_thread_variables_give_the_one_thread_bytes(self, package_env, tmp_path):
         """With no BLAS thread variable set, a run writes the bytes of a
         1-thread run, since the package pins OpenBLAS, the ctypes-loaded
-        copy included, to one thread. At 2 OpenBLAS threads this config's
+        copy included, to one thread, whether gmmadapt, numpy or
+        scipy.linalg is imported first. At 2 OpenBLAS threads this config's
         metrics.jsonl differs in the last bits (measured on a 2-vCPU host)."""
         unset = {k: v for k, v in package_env.items()
                  if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
         written = {}
-        for name, env in (("unset", unset), ("one", dict(unset, OPENBLAS_NUM_THREADS="1"))):
+        for name, first, env in (("gmmadapt", "gmmadapt", unset), ("numpy", "numpy", unset),
+                                 ("scipy.linalg", "scipy.linalg", unset),
+                                 ("one", "gmmadapt", dict(unset, OPENBLAS_NUM_THREADS="1"))):
             out = tmp_path / name
+            argv = ["adapt", "--fd", "256", "--fd-r", "128", "--n-b", "128", "--n-batches", "6",
+                    "--n-init", "3", "--out", str(out)]
             proc = subprocess.run(
-                [sys.executable, "-m", "gmmadapt", "adapt", "--fd", "256", "--fd-r", "128",
-                 "--n-b", "128", "--n-batches", "6", "--n-init", "3", "--out", str(out)],
+                [sys.executable, "-c", f"import {first}\nfrom gmmadapt.cli import main\n"
+                 f"raise SystemExit(main({argv!r}))"],
                 capture_output=True, text=True, timeout=120, env=env,
             )
             assert proc.returncode == 0, proc.stderr
             written[name] = (out / "metrics.jsonl").read_bytes()
-        assert written["unset"] == written["one"]
+        assert written["gmmadapt"] == written["numpy"] == written["scipy.linalg"] == written["one"]
 
-    @pytest.mark.parametrize("given,expected", [(None, "1"), ("3", "3")],
-                             ids=["unset", "caller_set"])
-    def test_import_defaults_openblas_to_one_thread(self, package_env, given, expected):
+    @pytest.mark.parametrize("given,first", [(None, "gmmadapt"), ("3", "gmmadapt"),
+                                             (None, "numpy"), ("3", "numpy"),
+                                             (None, "scipy.linalg")],
+                             ids=["unset", "caller_set", "numpy_first_unset",
+                                  "numpy_first_caller_set", "scipy_linalg_first_unset"])
+    def test_import_defaults_openblas_to_one_thread(self, package_env, given, first):
         """Importing gmmadapt sets OPENBLAS_NUM_THREADS only when the caller
-        has not, and leaves OMP_NUM_THREADS, which other libraries read, alone."""
+        has not, and leaves OMP_NUM_THREADS, which other libraries read,
+        alone. Unset, both OpenBLAS copies run one thread, also when numpy
+        or scipy.linalg was loaded first; a value the caller set keeps the
+        thread counts that value gives without gmmadapt."""
         env = {k: v for k, v in package_env.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
         if given is not None:
             env["OPENBLAS_NUM_THREADS"] = given
         proc = subprocess.run(
-            [sys.executable, "-c", "import os, gmmadapt; "
-             "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ.get('OMP_NUM_THREADS'))"],
+            [sys.executable, "-c", f"import {first}\nimport os, gmmadapt\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ.get('OMP_NUM_THREADS'))\n"
+             + PRINT_OPENBLAS_THREADS],
             capture_output=True, text=True, timeout=60, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{expected} None\n"
+        if given is None:
+            assert proc.stdout == "1 None\n1 1\n"
+            return
+        alone = subprocess.run([sys.executable, "-c", "import numpy\n" + PRINT_OPENBLAS_THREADS],
+                               capture_output=True, text=True, timeout=60, env=env)
+        assert alone.returncode == 0, alone.stderr
+        assert proc.stdout == f"{given} None\n{alone.stdout}"
+
+    def test_import_leaves_scipy_unloaded(self, package_env):
+        """The package finds scipy's compiled code without importing scipy's
+        top-level package, whose import would load more of scipy."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gmmadapt, gmmadapt.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=60, env=package_env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.skipif(shutil.which("gmmadapt") is None,
                         reason="gmmadapt console script not installed")

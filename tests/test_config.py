@@ -234,7 +234,7 @@ class TestValueTypes:
 class TestNegativeSeeds:
     @pytest.mark.parametrize("doc,message", [
         ({"seed": -1}, "seed must be nonnegative"),
-        ({"domain": {"rotation_seed": -2}}, "rotation_seed must be null or nonnegative"),
+        ({"domain": {"rotation_seed": -2}}, "domain.rotation_seed must be null or nonnegative"),
     ], ids=["seed", "domain.rotation_seed"])
     def test_negative_seed_rejected_in_file(self, tmp_path, doc, message):
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -253,8 +253,8 @@ class TestValidateReadsBack:
         assert cfg.validate() is cfg
 
     @pytest.mark.parametrize("edit,message", [
-        (lambda cfg: setattr(cfg.domain, "class_sep", -1.0), "^class_sep must be positive$"),
-        (lambda cfg: setattr(cfg.shift, "kind", "XYZ"), "^kind must be one of"),
+        (lambda cfg: setattr(cfg.domain, "class_sep", -1.0), "^domain.class_sep must be positive$"),
+        (lambda cfg: setattr(cfg.shift, "kind", "XYZ"), "^shift.kind must be one of"),
         (lambda cfg: setattr(cfg, "shift", dict(SHIFT)),
          re.escape("config does not read back as itself: ['shift'] differ")),
         (lambda cfg: setattr(cfg, "seed", -1), "^seed must be nonnegative$"),

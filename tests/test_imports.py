@@ -1,5 +1,6 @@
 """Every name a gmmadapt module imports is used in that module, every
-name a function assigns is read, and no module imports scipy.
+name a function assigns is read, no module imports scipy, and every
+dataclass the config and record readers build checks its own values first.
 
 No linter ships with the project, so these stdlib checks stand in for the
 unused-import and unused-variable rules: a refactor that removes the last
@@ -9,9 +10,15 @@ imports are directives, so both are exempt; so are `_` and the names a
 function declares global or nonlocal.
 """
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
+
+from gmmadapt.config import RunConfig
+from gmmadapt.errors import declared_types
+from gmmadapt.metrics import RunRecord
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmmadapt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -105,3 +112,52 @@ def test_check_sees_an_unused_local():
     source = ("def outer(x):\n    _, y, n2 = x\n    def inner():\n        return y\n"
               "    return inner\n")
     assert unused_locals(source) == ["outer.n2"]
+
+
+def reached_dataclasses(*roots) -> list[type]:
+    """The roots and every dataclass reachable from them through declared_types,
+    the classes errors.read_dataclass builds."""
+    reached = []
+    todo = list(roots)
+    while todo:
+        cls = todo.pop(0)
+        if cls not in reached:
+            reached.append(cls)
+            todo += [typ for _, typ, _ in declared_types(cls).values()
+                     if dataclasses.is_dataclass(typ)]
+    return reached
+
+
+def checks_fields_first(source: str, name: str) -> bool:
+    """Whether class name in source has a __post_init__ whose first
+    statement is a call check_fields(self, ...)."""
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef) and cls.name == name:
+            for func in cls.body:
+                if isinstance(func, ast.FunctionDef) and func.name == "__post_init__":
+                    return ast.unparse(func.body[0]).startswith("check_fields(self, ")
+    return False
+
+
+REACHED = reached_dataclasses(RunConfig, RunRecord)
+
+
+def test_readers_reach_five_dataclasses():
+    assert [cls.__name__ for cls in REACHED] == [
+        "RunConfig", "RunRecord", "ShiftSpec", "DomainSpec", "BatchCounts"]
+
+
+@pytest.mark.parametrize("cls", REACHED, ids=[cls.__name__ for cls in REACHED])
+def test_every_reached_dataclass_checks_its_fields_first(cls):
+    """read_dataclass applies no value check of its own: each class it
+    builds is the one place its values are checked."""
+    assert checks_fields_first(Path(inspect.getsourcefile(cls)).read_text(), cls.__name__)
+
+
+def test_check_sees_a_missing_check_fields():
+    source = ("class A:\n    def __post_init__(self):\n        check_fields(self, E)\n"
+              "class B:\n    def __post_init__(self):\n        if self.x < 0:\n"
+              "            raise E\n        check_fields(self, E)\n"
+              "class C:\n    x: int\n"
+              "class D:\n    def __post_init__(self):\n        check_fields(other, E)\n")
+    assert [checks_fields_first(source, name) for name in "ABCD"] == [True, False, False, False]

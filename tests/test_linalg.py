@@ -1,3 +1,7 @@
+import ctypes
+import glob
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -315,3 +319,34 @@ class TestExpm:
         """scipy.linalg.expm computes these on paths the Padé glue does not copy."""
         with pytest.raises(ValueError, match="both sides of the diagonal"):
             linalg.expm(a)
+
+
+def releases_the_gil(fn) -> bool:
+    """Whether fn is a ctypes foreign function that releases the GIL while
+    it runs: one not flagged _FUNCFLAG_PYTHONAPI, as PyDLL flags its functions."""
+    return isinstance(fn, ctypes._CFuncPtr) and not fn._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
+class TestOpenBlas:
+    def test_solve_releases_the_gil(self):
+        """The mixture's block pool solves in parallel only if each dtrsm
+        call releases the GIL, as a ctypes.CDLL binding does."""
+        assert releases_the_gil(linalg._dtrsm)
+
+    def test_check_sees_a_binding_that_holds_the_gil(self):
+        path = glob.glob(linalg._scipy_path("scipy.libs", "libscipy_openblas-*.so"))[0]
+        assert not releases_the_gil(ctypes.PyDLL(path).scipy_dtrsm_)
+        assert not releases_the_gil(dtrsm)
+
+    def test_missing_library_is_a_warning_naming_the_path(self, monkeypatch):
+        """No silent fallback when numpy was imported before gmmadapt and an
+        OpenBLAS copy cannot be pinned to one thread."""
+        monkeypatch.setattr(linalg, "glob", SimpleNamespace(glob=lambda pattern: []))
+        with pytest.warns(RuntimeWarning) as warned:
+            linalg.pin_openblas()
+        messages = [str(w.message) for w in warned]
+        assert len(messages) == 2
+        for message, lib in zip(messages, ("numpy.libs/libscipy_openblas64_*.so",
+                                           "scipy.libs/libscipy_openblas-*.so")):
+            assert f"{lib} has scipy_openblas_set_num_threads" in message
+            assert message.endswith("set OPENBLAS_NUM_THREADS=1, or import gmmadapt before numpy")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmmadapt.errors import InvalidSplit
-from gmmadapt.simulator import DomainSpec, ShiftSpec, class_centers, make_task
+from gmmadapt.simulator import (ORTHOGONALITY_TOL, DomainSpec, ShiftSpec, class_centers,
+                                make_task)
 
 
 def default_domain(**kw):
@@ -65,6 +66,21 @@ class TestDomainSpec:
         dom = default_domain(rotation_seed=3, rotation_strength=strength)
         with pytest.raises(ValueError, match="^rotation_strength .* is too large"):
             dom.rotation()
+
+    @pytest.mark.parametrize("strength", [1e12, 1e16, -1e16])
+    def test_rotation_that_lost_orthogonality_is_a_value_error(self, strength):
+        """The squarings after the Padé step drift off orthogonality as the
+        strength grows: 2.5e-4 at 1e12 and 0.63 at 1e16 on this domain."""
+        dom = DomainSpec(d_in=20, class_sep=6.0, rotation_seed=1, rotation_strength=strength)
+        with pytest.raises(ValueError, match=r"^rotation_strength .* is too large: "
+                                             r"max\|R R\^T - I\| is .*, above 1e-09$"):
+            dom.rotation()
+
+    @pytest.mark.parametrize("strength", [2.0, 1e4, 1e6])
+    def test_rotation_within_the_tolerance_is_kept(self, strength):
+        rot = DomainSpec(d_in=20, class_sep=6.0, rotation_seed=1,
+                         rotation_strength=strength).rotation()
+        assert np.max(np.abs(rot @ rot.T - np.eye(20))) <= ORTHOGONALITY_TOL
 
     def test_rotation_bits_are_scipy_expm_bits(self):
         """Over d_in, seed and a signed strength the rotation is
