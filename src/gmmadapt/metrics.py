@@ -11,8 +11,9 @@ row carries a counts sub-object so summaries can be recomputed exactly
 from the file alone) and as a CSV mirror whose columns are RunRecord's
 fields, in order, but the counts. read_jsonl reads each line back with
 errors.read_dataclass, the reader of configs too; a record's counts must
-be nonnegative, its rates must follow from them, and the n-th record must
-be batch n.
+be nonnegative and fit together (a part never exceeds its whole, and the
+known and unknown samples make up the batch), its rates must follow from
+them, and the n-th record must be batch n.
 """
 from __future__ import annotations
 
@@ -98,6 +99,15 @@ class BatchCounts:
         for name, value in vars(self).items():
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        for part, whole in (("n_known_correct", "n_known"), ("n_unknown_correct", "n_unknown"),
+                            ("n_pl_known_correct", "n_pl_known"), ("n_pl_known", "n_adapted"),
+                            ("n_adapted", "n_total")):
+            if getattr(self, part) > getattr(self, whole):
+                raise ValueError(f"{part} must not exceed {whole}, "
+                                 f"got {getattr(self, part)} > {getattr(self, whole)}")
+        if self.n_known + self.n_unknown != self.n_total:
+            raise ValueError(f"n_known + n_unknown must equal n_total, got "
+                             f"{self.n_known} + {self.n_unknown} != {self.n_total}")
 
 
 @dataclass

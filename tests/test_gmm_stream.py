@@ -86,6 +86,21 @@ class TestUpdate:
         with pytest.raises(ValueError):
             gmm.update(np.zeros((1, 2)), np.array([[0.7, 0.7]]))
 
+    @pytest.mark.parametrize("args,message", [
+        ((0, 2), "n_classes must be >= 1, got 0"),
+        ((2.0, 2), "n_classes must be int, got 2.0"),
+        ((2, 0), "dim must be >= 1, got 0"),
+        ((2, True), "dim must be int, got True"),
+        ((2, 2, -1.0), "jitter must be >= 0, got -1.0"),
+        ((2, 2, float("nan")), "jitter must be finite, got nan"),
+        ((2, 2, float("inf")), "jitter must be finite, got inf"),
+    ], ids=["no_class", "float_n_classes", "no_dim", "bool_dim", "negative_jitter",
+            "nan_jitter", "inf_jitter"])
+    def test_constructor_rejects_a_header_that_cannot_be_read_back(self, args, message):
+        with pytest.raises(ValueError) as info:
+            GaussianMixtureStream(*args)
+        assert type(info.value) is ValueError and str(info.value) == message
+
 
 class TestLikelihoods:
     def test_two_mode_gap_is_half_squared_distance(self):
@@ -809,6 +824,40 @@ class TestPerModeSnapshotIO:
         for text in ("1e-05", "1e+16", "5e-324", "-0.0"):
             assert text in blob
         self.assert_same_as_whole_document(gmm)
+
+    def test_random_bit_patterns_match(self):
+        """Over a million random float64 bit patterns, NaNs and infinities
+        among them. Most random exponents lie outside [1e-4, 1e16), where
+        repr writes positional digits, so in a share of each row, running
+        from none in the first row to all in the last, the exponent is
+        redrawn around that range."""
+        gmm = GaussianMixtureStream(480, 64)
+        rng = np.random.default_rng(25)
+        for array in ("means", "cov_packed", "mass"):
+            rows = getattr(gmm, array).reshape(gmm.n_classes, -1)
+            bits = rng.integers(0, 2**64, rows.shape, dtype=np.uint64)
+            near = rng.random(rows.shape) < np.linspace(0, 1, gmm.n_classes)[:, None]
+            exponents = rng.integers(1008, 1078, rows.shape, dtype=np.uint64) << np.uint64(52)
+            bits[near] = bits[near] & np.uint64(~(0x7FF << 52) % 2**64) | exponents[near]
+            rows[:] = bits.view(np.float64)
+        assert gmm.memory_footprint() >= 1_000_000
+        got, want = gmm.to_snapshot(), whole_document_snapshot(gmm)
+        same = got == want  # not in the assert: pytest would diff megabytes of text
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), len(want))
+        assert same, f"first difference at {i}: {got[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}"
+
+    @pytest.mark.parametrize("value,text", [(np.nan, "NaN"), (np.inf, "Infinity"),
+                                            (-np.inf, "-Infinity")])
+    @pytest.mark.parametrize("array", ["means", "cov_packed"])
+    def test_non_finite_values_are_written_as_json_dumps_writes_them(self, array, value, text):
+        gmm = GaussianMixtureStream(2, 2)
+        gmm.mass[:] = 1.0
+        getattr(gmm, array)[1, 1] = value
+        blob = gmm.to_snapshot()
+        assert blob == whole_document_snapshot(gmm)
+        assert f"[0.0, {text}" in blob
+        with pytest.raises(NonFiniteInput, match="^mode means and covariances must be finite$"):
+            GaussianMixtureStream.from_snapshot(blob)
 
 
 class TestSnapshotMemory:

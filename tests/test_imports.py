@@ -1,6 +1,7 @@
 """Every name a gmmadapt module imports is used in that module, every
-name a function assigns is read, no module imports scipy, and every
-dataclass the config and record readers build checks its own values first.
+name a function assigns is read, no module imports scipy, every package
+a module imports is a declared dependency, and every dataclass the config
+and record readers build checks its own values first.
 
 No linter ships with the project, so these stdlib checks stand in for the
 unused-import and unused-variable rules: a refactor that removes the last
@@ -12,6 +13,8 @@ function declares global or nonlocal.
 import ast
 import dataclasses
 import inspect
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,8 @@ from gmmadapt.metrics import RunRecord
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gmmadapt"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = MODULES + [PACKAGE / "__init__.py"]
+SOURCE_IDS = [p.name for p in SOURCES]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -58,8 +63,7 @@ def scipy_imports(source: str) -> list[str]:
     return [name for name in named if name == "scipy" or name.startswith("scipy.")]
 
 
-@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
-                         ids=[p.name for p in MODULES] + ["__init__.py"])
+@pytest.mark.parametrize("path", SOURCES, ids=SOURCE_IDS)
 def test_no_module_imports_scipy(path):
     """scipy's compiled code is loaded from its files (linalg.py): importing
     scipy.linalg alone would add about 26 MB of RSS to a run."""
@@ -71,6 +75,43 @@ def test_check_sees_a_scipy_import():
               "from .scipyish import x\nimport scipyish\n"
               "def f():\n    from scipy.linalg import expm\n")
     assert scipy_imports(source) == ["scipy.linalg", "scipy", "scipy.linalg"]
+
+
+def undeclared_imports(source: str, dependencies: list[str]) -> list[str]:
+    """The top-level name of each package that source imports, outside the
+    standard library and the package itself, and that no requirement in
+    dependencies names (names compared in lower case, "-" read as "_")."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    declared = {re.match(r"[\w.-]+", d)[0].lower().replace("-", "_") for d in dependencies}
+    return sorted(name for name in imported - set(sys.stdlib_module_names)
+                  if name.lower() not in declared)
+
+
+def declared_dependencies() -> list[str]:
+    tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    return tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=SOURCE_IDS)
+def test_every_import_is_declared(path):
+    assert undeclared_imports(path.read_text(), declared_dependencies()) == []
+
+
+def test_check_sees_an_undeclared_import():
+    source = ("import json, numpy as np\nimport orjson\nfrom scipy.linalg import expm\n"
+              "from . import linalg\nfrom .errors import MalformedFile\n"
+              "def f():\n    import Some_Pkg.sub\n")
+    assert undeclared_imports(source, ["numpy>=1.24"]) == ["Some_Pkg", "orjson", "scipy"]
+    assert undeclared_imports(source, ["orjson", "SciPy>=1.10", "some-pkg", "numpy"]) == []
+    gmm_stream = (PACKAGE / "gmm_stream.py").read_text()
+    without_orjson = [d for d in declared_dependencies() if not d.startswith("orjson")]
+    assert undeclared_imports(gmm_stream, without_orjson) == ["orjson"]
 
 
 def own_nodes(func):

@@ -151,6 +151,35 @@ class TestEmitters:
         with pytest.raises(MalformedFile, match=r"metrics.jsonl line 2: .*" + re.escape(fragment)):
             read_jsonl(path)
 
+    def test_read_jsonl_rejects_counts_that_do_not_fit_together(self, tmp_path):
+        """A part larger than its whole: 2 of 1 known samples correct, 3 of
+        1 samples adapted, with the rates that follow from those counts."""
+        counts = dict(n_known=1, n_known_correct=2, n_unknown=0, n_unknown_correct=0,
+                      n_adapted=3, n_total=1, n_pl_known=0, n_pl_known_correct=0)
+        obj = dict(batch=1, acc_known=2.0, acc_unknown=None, h_score=None, adapt_ratio=3.0,
+                   pl_precision_known=None, tau_k=0.1, tau_u=0.4, loss_c=0.5, loss_kld=-0.2,
+                   counts=counts)
+        path = tmp_path / "metrics.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(MalformedFile) as info:
+            read_jsonl(path)
+        assert str(info.value) == (f"{path} line 1: counts.n_known_correct must not exceed "
+                                   "n_known, got 2 > 1")
+
+    @pytest.mark.parametrize("edit,message", [
+        (dict(n_known_correct=33), "n_known_correct must not exceed n_known, got 33 > 32"),
+        (dict(n_unknown_correct=33), "n_unknown_correct must not exceed n_unknown, got 33 > 32"),
+        (dict(n_pl_known_correct=21), "n_pl_known_correct must not exceed n_pl_known, got 21 > 20"),
+        (dict(n_pl_known=41), "n_pl_known must not exceed n_adapted, got 41 > 40"),
+        (dict(n_adapted=65), "n_adapted must not exceed n_total, got 65 > 64"),
+        (dict(n_total=63), "n_known + n_unknown must equal n_total, got 32 + 32 != 63"),
+    ], ids=["known", "unknown", "pl_known", "pl_known_in_adapted", "adapted", "sum"])
+    def test_counts_must_fit_together(self, edit, message):
+        counts = make_record(1).counts
+        with pytest.raises(ValueError) as info:
+            BatchCounts(**dict(vars(counts), **edit))
+        assert str(info.value) == message
+
     def test_record_rates_must_follow_from_its_counts(self):
         rec = make_record(1)
         with pytest.raises(ValueError, match="^acc_known, pl_precision_known do not match"):
@@ -167,7 +196,7 @@ class TestEmitters:
         assert cells[CSV_COLUMNS.index("pl_precision_known")] == ""
 
     def test_null_h_score_serialized_as_json_null(self, tmp_path):
-        rec = make_record(1, n_unk=0, u_corr=0)
+        rec = make_record(1, n_unk=0, u_corr=0, adapted=20)
         path = tmp_path / "m.jsonl"
         write_jsonl([rec], path)
         assert json.loads(path.read_text())["h_score"] is None
@@ -186,7 +215,7 @@ class TestSummarize:
         assert s["full_run"]["primary_metric"] == s["full_run"]["h_score"]
 
     def test_pda_primary_is_accuracy(self):
-        records = [make_record(k, n_unk=0, u_corr=0) for k in range(1, 11)]
+        records = [make_record(k, n_unk=0, u_corr=0, adapted=20) for k in range(1, 11)]
         s = summarize(records, kind="PDA", n_init=5)
         assert s["full_run"]["primary_metric"] == pytest.approx(0.5)
         assert s["full_run"]["h_score"] is None

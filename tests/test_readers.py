@@ -179,6 +179,7 @@ VALUE_FAULTS = [
     (BatchCounts, "type", "n_total", "2", "must be int, got '2'"),
     (BatchCounts, "non_finite", "n_total", 10**400, f"must be finite, got {BIG}"),
     (BatchCounts, "range", "n_known", -1, "must be nonnegative"),
+    (BatchCounts, "part", "n_known_correct", 3, "must not exceed n_known, got 3 > 2"),
 ]
 VALUE_FAULT_IDS = [f"{cls.__name__}-{fault}" for cls, fault, *_ in VALUE_FAULTS]
 
