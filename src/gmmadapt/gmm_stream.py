@@ -308,13 +308,11 @@ def _reprs(row: np.ndarray) -> str:
     brackets. orjson writes repr's digits and, for zeros and magnitudes in
     [1e-4, 1e16), where repr writes positional digits, repr's layout too.
     Other numbers it may lay out differently (0.00001 for 1e-05, 1e16 for
-    1e+16, null for NaN), so those are spelled by one json.dumps, which
-    writes the whole row when they are most of it."""
+    1e+16, null for NaN), so those are spelled by one json.dumps of just
+    them and spliced in."""
     values = row.tolist()
     size = np.abs(row)
     other = np.flatnonzero((row != 0) & ~((size >= 1e-4) & (size < 1e16))).tolist()
-    if 2 * len(other) > len(values):
-        return json.dumps(values)[1:-1]
     text = orjson.dumps(values)[1:-1]
     if not other:
         return text.replace(b",", b", ").decode()
