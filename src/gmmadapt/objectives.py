@@ -10,6 +10,18 @@ positive pairs for ablation); discarded samples are excluded from every
 term, numerators and denominators alike. Prototypes are constants: no
 gradient flows into the mixture.
 
+The sample-sample term runs on blocks: positive pairs on the eligible
+samples, the only ones that can pair, and the denominators and their
+softmax weights on the participants' block of the similarity matrix. A
+full (2n, 2n) formulation holds an exact +0.0 everywhere outside that
+block, and an axis-0 sum that skips rows of +0.0 keeps its bits. Work
+whose bits depend on position keeps the (2n, 2n) layout: the similarity
+GEMM, term 1's sum over positive pairs (numpy's pairwise sum groups terms
+by flat index), the two coefficient GEMMs (BLAS blocking depends on the
+sizes) and every reduction along the 2n columns. So the loss and its
+gradient are bit for bit those of the full-mask formulation, which
+tests/test_objectives.py keeps as its reference.
+
 KL term, over the original half only: for pseudo-known samples the
 divergence KL(uniform || softmax) is maximized (sharpens the prediction),
 for pseudo-unknown samples it is minimized (flattens it); discarded
@@ -38,14 +50,22 @@ def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         is_max = a == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=a.dtype)
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
+        m = np.sum(is_max, axis=axis, keepdims=True).astype(a.dtype)
+        shifted = a - a_max
+        np.copyto(shifted, -np.inf, where=is_max)
+        s = np.sum(np.exp(shifted, out=shifted), axis=axis, keepdims=True)
+        s /= m  # 0 / m is 0, as scipy keeps it
         out = np.log1p(s) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
             out = np.where(finite, out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
     return np.squeeze(out, axis=axis)
+
+
+def _block_index(idx: np.ndarray, n: int) -> np.ndarray:
+    """Flat positions of the idx x idx block of a C-ordered (n, n) matrix,
+    row by row: gathers and scatters through them are single fancy indexes."""
+    return (idx[:, None] * n + idx).ravel()
 
 
 def _normalize_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,16 +105,21 @@ def contrastive_loss(
         raise ValueError("temperature must be positive")
 
     tau = float(temperature)
+    n2 = labels.shape[0]
     participant = labels != DISCARDED
     known = (labels >= 0) & (labels < n_classes)
+    p = np.flatnonzero(participant)
 
-    # Positive-pair mask: same known class, optionally unknown-unknown.
+    # Positive pairs: same known class, optionally unknown-unknown. Every
+    # eligible sample participates; at_e holds their positions in p.
     eligible = known | (labels == n_classes) if unknown_positive_pairs else known
-    same = labels[:, None] == labels[None, :]
-    pos = same & eligible[:, None] & eligible[None, :]
-    np.fill_diagonal(pos, False)
+    at_e = np.flatnonzero(eligible[p])
+    e = p[at_e]
+    labels_e = labels[e]
+    pos_e = labels_e[:, None] == labels_e[None, :]
+    np.fill_diagonal(pos_e, False)
 
-    n_pos_pairs = int(pos.sum())
+    n_pos_pairs = int(pos_e.sum())
     n_known = int(known.sum())
     n_terms = n_pos_pairs + n_known
     grad = np.zeros_like(feats)
@@ -103,19 +128,28 @@ def contrastive_loss(
 
     z, norms = _normalize_rows(feats)
     sims = (z @ z.T) / tau  # (2n, 2n), entry [l, i] pairs sample l with anchor i
+    pos = np.zeros((n2, n2), dtype=bool)
+    pos.ravel()[_block_index(e, n2)] = pos_e.ravel()
 
     # Sample-sample term: anchor i, denominator over participants l != i.
-    denom_mask = participant[:, None] & participant[None, :]
-    np.fill_diagonal(denom_mask, False)
-    masked = np.where(denom_mask, sims, -np.inf)
-    log_denom = _logsumexp(masked, axis=0)  # per anchor column i
-    pos_per_anchor = pos.sum(axis=0).astype(np.float64)  # n_i
+    at_p = _block_index(p, n2)
+    block = sims.ravel()[at_p].reshape(p.size, p.size)
+    np.fill_diagonal(block, -np.inf)
+    log_denom = _logsumexp(block, axis=0)  # per participant anchor column
+    pos_per_anchor = np.zeros(p.size)  # n_i of each participant
+    pos_per_anchor[at_e] = pos_e.sum(axis=0)
     active = pos_per_anchor > 0
     term1 = float(-(sims * pos).sum() + (pos_per_anchor[active] * log_denom[active]).sum())
 
     with np.errstate(invalid="ignore"):
-        softw = np.where(denom_mask, np.exp(sims - log_denom[None, :]), 0.0)
-    coeff = (softw * pos_per_anchor[None, :] - pos) / tau  # A[l, i]
+        block -= log_denom
+    softw = np.exp(block, out=block)
+    np.fill_diagonal(softw, 0.0)  # a lone participant's -inf - -inf is NaN
+    softw *= pos_per_anchor
+    softw.ravel()[_block_index(at_e, p.size)] -= pos_e.ravel()
+    softw /= tau
+    coeff = np.zeros((n2, n2))  # A[l, i]
+    coeff.ravel()[at_p] = softw.ravel()
     grad_z = coeff @ z + coeff.T @ z
 
     # Prototype term: anchor is the class mean, denominator over all
@@ -126,23 +160,25 @@ def contrastive_loss(
     term2 = 0.0
     if classes.size > 0:
         proto_sims = (q[classes] @ z.T) / tau  # (n_present, 2n)
-        masked_p = np.where(participant[None, :], proto_sims, -np.inf)
-        log_denom_p = _logsumexp(masked_p, axis=1)
         counts = present[classes]
         numerator = proto_sims[np.searchsorted(classes, labels[known]), np.flatnonzero(known)]
+        proto_sims[:, ~participant] = -np.inf
+        log_denom_p = _logsumexp(proto_sims, axis=1)
         term2 = float(-numerator.sum() + (counts * log_denom_p).sum())
 
-        softp = np.where(participant[None, :], np.exp(proto_sims - log_denom_p[:, None]), 0.0)
-        grad_z += ((softp * counts[:, None]).T @ q[classes]) / tau
+        proto_sims -= log_denom_p[:, None]
+        softp = np.exp(proto_sims, out=proto_sims)
+        softp *= counts[:, None]
+        grad_z += (softp.T @ q[classes]) / tau
         grad_z[known] -= q[labels[known]] / tau
 
     loss = (term1 + term2) / n_terms
     grad_z /= n_terms
 
-    # Chain through the row normalization z = r / ||r||.
+    # Chain through the row normalization z = r / ||r||; a row whose norm
+    # is not > 0 (zero or NaN) keeps a zero gradient.
     inner = np.sum(grad_z * z, axis=1, keepdims=True)
-    nonzero = norms > 0.0
-    grad[nonzero] = (grad_z[nonzero] - inner[nonzero] * z[nonzero]) / norms[nonzero, None]
+    np.divide(grad_z - inner * z, norms[:, None], out=grad, where=(norms > 0.0)[:, None])
     return loss, grad
 
 

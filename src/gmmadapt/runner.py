@@ -2,10 +2,13 @@
 memory tables, and replay.
 
 Per target batch, in order: forward -> mixture update -> likelihoods and
-entropies -> threshold calibration (first n_init batches) -> three-way
-pseudo-labeling -> prediction -> scoring -> augmented view -> losses ->
-backprop -> SGD step. Each batch is seen exactly once; the prediction for
-a batch always precedes the parameter update it triggers.
+entropies -> threshold calibration (first n_init batches) -> prediction
+-> three-way pseudo-labeling -> scoring -> augmented view -> losses ->
+backprop -> SGD step. Prediction and pseudo-labeling read the same
+thresholds, likelihoods and entropies, so the prediction waits for
+neither the pseudo-labels nor anything after them. Each batch is seen
+exactly once; the prediction for a batch always precedes the parameter
+update it triggers.
 
 One run is sequential across batches: within one batch's step only the
 mixture's blocks of classes run in parallel (see gmm_stream). A sweep is
@@ -149,8 +152,8 @@ def adapt_stream(cfg: RunConfig, model: ToyModel, stream: TargetStream) -> Adapt
             entropies = normalized_entropy_rows(likelihoods)
             if not thresholds.frozen:
                 thresholds.calibrate(entropies)
-            pseudo = thresholds.pseudo_label_batch(likelihoods, entropies)
             preds = thresholds.predict_batch(cache.probs, likelihoods, entropies)
+            pseudo = thresholds.pseudo_label_batch(likelihoods, entropies)
             counts, rates = score_batch(batch.true_labels, preds, pseudo, n_classes)
 
             # The mixture means are the prototypes: a massless mode holds a

@@ -127,7 +127,7 @@ class ToyModel:
         """
         p = self.params
         grads = {}
-        d_hidden = np.zeros_like(cache.hidden)
+        d_hidden = None
         heads = (("d_reduced", d_reduced, cache.reduced, "W_r", "b_r"),
                  ("d_logits", d_logits, cache.probs, "W_h", "b_h"))
         for name, upstream, output, W, b in heads:
@@ -140,7 +140,10 @@ class ToyModel:
                 raise DimensionMismatch(f"{name} shape does not match cache")
             grads[W] = upstream.T @ cache.hidden
             grads[b] = upstream.sum(axis=0)
-            d_hidden += upstream @ p[W]
+            if d_hidden is None:
+                d_hidden = upstream @ p[W]
+            else:
+                d_hidden += upstream @ p[W]
         if not grads:
             return grads
         d_pre = d_hidden * (1.0 - cache.hidden ** 2)  # tanh'

@@ -1,7 +1,8 @@
 """Every name a gmmadapt module imports is used in that module, every
 name a function assigns is read, no module imports scipy, every package
-a module imports is a declared dependency, and every dataclass the config
-and record readers build checks its own values first.
+a module imports is a declared dependency whose installed version meets
+the declared range, and every dataclass the config and record readers
+build checks its own values first.
 
 No linter ships with the project, so these stdlib checks stand in for the
 unused-import and unused-variable rules: a refactor that removes the last
@@ -15,9 +16,11 @@ import dataclasses
 import inspect
 import re
 import sys
+from importlib import metadata
 from pathlib import Path
 
 import pytest
+from packaging.specifiers import SpecifierSet
 
 from gmmadapt.config import RunConfig
 from gmmadapt.errors import declared_types
@@ -112,6 +115,33 @@ def test_check_sees_an_undeclared_import():
     gmm_stream = (PACKAGE / "gmm_stream.py").read_text()
     without_orjson = [d for d in declared_dependencies() if not d.startswith("orjson")]
     assert undeclared_imports(gmm_stream, without_orjson) == ["orjson"]
+
+
+def unmet_requirements(dependencies: list[str], installed_version) -> list[str]:
+    """Each requirement in dependencies whose package's installed version,
+    installed_version(name), falls outside its specifiers."""
+    unmet = []
+    for requirement in dependencies:
+        name, specifiers = re.fullmatch(r"([\w.-]+)(.*)", requirement).groups()
+        version = installed_version(name)
+        if not SpecifierSet(specifiers).contains(version):
+            unmet.append(f"{name} {version} is not {specifiers}")
+    return unmet
+
+
+def test_installed_versions_meet_the_declared_ranges():
+    """The bytes every pin holds were made with these versions; numpy's and
+    scipy's bundled OpenBLAS copies are the libraries gmmadapt.linalg binds."""
+    dependencies = declared_dependencies()
+    assert sorted(re.match(r"[\w.-]+", d)[0] for d in dependencies) == ["numpy", "orjson", "scipy"]
+    assert unmet_requirements(dependencies, metadata.version) == []
+
+
+def test_check_sees_an_unmet_requirement():
+    versions = {"numpy": "2.4.6", "scipy": "1.18.0", "orjson": "3.8.3"}.get
+    assert unmet_requirements(["numpy>=2.4,<3", "scipy>=1.17,<1.18", "orjson>=3.8,<4"],
+                              versions) == ["scipy 1.18.0 is not >=1.17,<1.18"]
+    assert unmet_requirements(["numpy>=2.4,<3", "orjson"], versions) == []
 
 
 def own_nodes(func):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
@@ -8,6 +8,77 @@ from scipy.special import logsumexp
 from gmmadapt.objectives import _logsumexp, contrastive_loss, kld_loss
 from gmmadapt.ood_gate import DISCARDED
 from gmmadapt.toy_model import softmax
+
+
+def reference_contrastive(feats, labels, protos, n_classes, tau, unknown_positive_pairs=False):
+    """contrastive_loss as full (2n, 2n) masks over the doubled batch, with
+    scipy's logsumexp: every term in the order the loss must keep, so the
+    loss and gradient bytes must equal these."""
+    feats = np.asarray(feats, dtype=np.float64)
+    labels = np.asarray(labels, dtype=int)
+    protos = np.asarray(protos, dtype=np.float64)
+
+    def normalize_rows(a):
+        norms = np.linalg.norm(a, axis=1)
+        safe = np.where(norms > 0.0, norms, 1.0)
+        return a / safe[:, None], norms
+
+    participant = labels != DISCARDED
+    known = (labels >= 0) & (labels < n_classes)
+    eligible = known | (labels == n_classes) if unknown_positive_pairs else known
+    same = labels[:, None] == labels[None, :]
+    pos = same & eligible[:, None] & eligible[None, :]
+    np.fill_diagonal(pos, False)
+
+    n_terms = int(pos.sum()) + int(known.sum())
+    grad = np.zeros_like(feats)
+    if n_terms == 0:
+        return 0.0, grad
+
+    z, norms = normalize_rows(feats)
+    sims = (z @ z.T) / tau
+    denom_mask = participant[:, None] & participant[None, :]
+    np.fill_diagonal(denom_mask, False)
+    masked = np.where(denom_mask, sims, -np.inf)
+    log_denom = logsumexp(masked, axis=0)
+    pos_per_anchor = pos.sum(axis=0).astype(np.float64)
+    active = pos_per_anchor > 0
+    term1 = float(-(sims * pos).sum() + (pos_per_anchor[active] * log_denom[active]).sum())
+
+    with np.errstate(invalid="ignore"):
+        softw = np.where(denom_mask, np.exp(sims - log_denom[None, :]), 0.0)
+    coeff = (softw * pos_per_anchor[None, :] - pos) / tau
+    grad_z = coeff @ z + coeff.T @ z
+
+    q, _ = normalize_rows(protos)
+    present = np.bincount(labels[known], minlength=n_classes).astype(np.float64)
+    classes = np.flatnonzero(present)
+    term2 = 0.0
+    if classes.size > 0:
+        proto_sims = (q[classes] @ z.T) / tau
+        masked_p = np.where(participant[None, :], proto_sims, -np.inf)
+        log_denom_p = logsumexp(masked_p, axis=1)
+        counts = present[classes]
+        numerator = proto_sims[np.searchsorted(classes, labels[known]), np.flatnonzero(known)]
+        term2 = float(-numerator.sum() + (counts * log_denom_p).sum())
+
+        softp = np.where(participant[None, :], np.exp(proto_sims - log_denom_p[:, None]), 0.0)
+        grad_z += ((softp * counts[:, None]).T @ q[classes]) / tau
+        grad_z[known] -= q[labels[known]] / tau
+
+    loss = (term1 + term2) / n_terms
+    grad_z /= n_terms
+    inner = np.sum(grad_z * z, axis=1, keepdims=True)
+    nonzero = norms > 0.0
+    grad[nonzero] = (grad_z[nonzero] - inner[nonzero] * z[nonzero]) / norms[nonzero, None]
+    return loss, grad
+
+
+def assert_same_bytes_as_reference(feats, labels, protos, n_classes, tau, toggle):
+    loss, grad = contrastive_loss(feats, labels, protos, n_classes, tau, toggle)
+    ref_loss, ref_grad = reference_contrastive(feats, labels, protos, n_classes, tau, toggle)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), (loss, ref_loss)
+    assert grad.tobytes() == ref_grad.tobytes(), np.flatnonzero(grad != ref_grad)
 
 
 def brute_force_contrastive(feats, labels, protos, n_classes, tau, unknown_positives=False):
@@ -134,10 +205,97 @@ class TestContrastiveLoss:
         assert not np.any(grad[4])
 
 
-# Entries with -inf, repeated values (ties for the maximum) and magnitudes
-# up to 1e3, where exp over- and underflows without the shift.
-LSE_ENTRIES = st.one_of(st.just(-np.inf), st.sampled_from([0.0, -1.5, 2.0, 700.0, -700.0]),
-                        st.floats(-1e3, 1e3))
+# Feature entries with exact zeros and repeats, so rows tie, besides a range
+# wide enough for tiny and large norms.
+FEATURE_ENTRIES = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def contrastive_instances(draw):
+    """(feats, labels, protos, n_classes, tau): 2n in 1..40, dim in 1..8,
+    labels from {-1, 0..C-1, C}, one feature row zeroed and one row copied
+    to up to three others when drawn so."""
+    n2 = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(1, 5))
+    labels = draw(arrays(np.int64, n2, elements=st.integers(DISCARDED, n_classes)))
+    feats = draw(arrays(np.float64, (n2, dim), elements=FEATURE_ENTRIES))
+    protos = draw(arrays(np.float64, (n_classes, dim), elements=FEATURE_ENTRIES))
+    zero_row = draw(st.integers(0, 40))
+    if zero_row < n2:
+        feats[zero_row] = 0.0
+    copied = draw(st.integers(0, n2 - 1))
+    feats[draw(st.lists(st.integers(0, n2 - 1), max_size=3))] = feats[copied]
+    tau = draw(st.sampled_from([0.05, 0.1, 0.5, 2.0]))
+    return feats, labels, protos, n_classes, tau
+
+
+def default_shape_instance(seed):
+    """A doubled default batch: 64 originals at fd_r 64 and their augmented
+    views, 9 known classes, about a third discarded."""
+    rng = np.random.default_rng(seed)
+    originals = rng.standard_normal((64, 64))
+    feats = np.vstack([originals, originals + 0.1 * rng.standard_normal((64, 64))])
+    pseudo = rng.choice([DISCARDED, 9, *range(9)], size=64, p=[1 / 3, 1 / 6] + [1 / 18] * 9)
+    return feats, np.concatenate([pseudo, pseudo]), rng.standard_normal((9, 64)), 9, 0.1
+
+
+def edge_case(name):
+    rng = np.random.default_rng(4)
+    feats = rng.standard_normal((6, 4))
+    labels = np.array([0, 0, 1, 3, DISCARDED, 3])
+    if name == "all_discarded":
+        labels = np.full(6, DISCARDED)
+    elif name == "single_known_participant":
+        labels = np.array([DISCARDED, 1, DISCARDED, DISCARDED, DISCARDED, DISCARDED])
+    elif name == "single_unknown_participant":
+        labels = np.array([DISCARDED, DISCARDED, 3, DISCARDED, DISCARDED, DISCARDED])
+    elif name == "no_known_sample":
+        labels = np.array([3, 3, DISCARDED, 3, DISCARDED, 3])
+    elif name == "zero_feature_row":
+        feats[1] = 0.0
+    elif name == "duplicated_rows":
+        feats[[1, 3, 5]] = feats[0]
+    elif name == "one_dimension":
+        feats = np.array([[1.0], [2.0], [-1.0], [0.5], [3.0], [-2.0]])
+    return feats, labels, rng.standard_normal((3, feats.shape[1])), 3, 0.1
+
+
+class TestReferenceBits:
+    """contrastive_loss works on the participants' block; its loss and
+    gradient bytes equal the full-mask reference's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=contrastive_instances(), toggle=st.booleans())
+    def test_loss_and_grad_bytes_equal_the_reference(self, instance, toggle):
+        assert_same_bytes_as_reference(*instance, toggle)
+
+    @pytest.mark.parametrize("toggle", [False, True], ids=["known_pairs", "unknown_pairs"])
+    @pytest.mark.parametrize("name", ["all_discarded", "single_known_participant",
+                                      "single_unknown_participant", "no_known_sample",
+                                      "zero_feature_row", "duplicated_rows", "one_dimension"])
+    def test_edge_case(self, name, toggle):
+        assert_same_bytes_as_reference(*edge_case(name), toggle)
+
+    def test_tied_maxima_reach_the_denominator(self):
+        """In one dimension every similarity is +-1/tau, so the
+        denominator's logsumexp splits off more than one maximum."""
+        feats, labels, _, _, tau = edge_case("one_dimension")
+        z = feats / np.abs(feats)
+        masked = np.where(labels[:, None] != DISCARDED, (z @ z.T) / tau, -np.inf)
+        np.fill_diagonal(masked, -np.inf)
+        assert (masked == masked.max(axis=0)).sum(axis=0).max() > 1
+
+    @pytest.mark.parametrize("toggle", [False, True], ids=["known_pairs", "unknown_pairs"])
+    def test_default_shape(self, toggle):
+        assert_same_bytes_as_reference(*default_shape_instance(0), toggle)
+
+
+# Entries with -inf, +inf and NaN (every fallback branch), repeated values
+# (ties for the maximum) and magnitudes up to 1e3, where exp over- and
+# underflows without the shift.
+LSE_ENTRIES = st.one_of(st.sampled_from([-np.inf, np.inf, np.nan]),
+                        st.sampled_from([0.0, -1.5, 2.0, 700.0, -700.0]), st.floats(-1e3, 1e3))
 
 
 class TestLogSumExp:
@@ -148,6 +306,7 @@ class TestLogSumExp:
         dead_col=st.integers(0, 9),
         dead_row=st.integers(0, 9),
     )
+    @example(a=np.full((1, 1), -np.inf), dead_col=9, dead_row=9)
     def test_equals_scipy_bit_for_bit(self, a, dead_col, dead_row):
         """Both axes, with a column and a row made entirely -inf when they exist."""
         if dead_col < a.shape[1]:
