@@ -66,10 +66,11 @@ class RunConfig:
     loss_mode: str = "both"
     unknown_positive_pairs: bool = False
     augment_sigma: float | None = None
-    # Base covariance regularization for the run. Large enough that early
-    # near-singular covariances cannot push class log-density gaps past the
-    # exp underflow cliff (which would tie entropies at exactly 0), small
-    # against the between-class structure the gate relies on.
+    # The one jitter every covariance is factored at; a covariance that does
+    # not factor stops the run (exit 3). Large enough that early near-singular
+    # covariances cannot push class log-density gaps past the exp underflow
+    # cliff (which would tie entropies at exactly 0), small against the
+    # between-class structure the gate relies on.
     jitter: float = 2e-2
     source_epochs: int = 6
     source_lr: float = 0.02

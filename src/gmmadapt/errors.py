@@ -23,8 +23,8 @@ class NonFiniteInput(GmmAdaptError, ValueError):
 
 
 class NotPositiveDefinite(GmmAdaptError, ValueError):
-    """A covariance factor is unusable: Cholesky factorization failed even
-    after jitter escalation, or a factor has a zero pivot."""
+    """A covariance factor is unusable: Cholesky factorization failed at
+    the configured jitter, or a factor has a zero pivot."""
 
 
 class NoInitializedMode(GmmAdaptError, RuntimeError):

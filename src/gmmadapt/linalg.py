@@ -33,8 +33,6 @@ import numpy as np
 from .errors import DimensionMismatch, NonFiniteInput, NotPositiveDefinite
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# Jitter doublings a failing matrix gets before NotPositiveDefinite.
-MAX_RETRIES = 8
 
 
 def _scipy_path(*parts: str) -> str:
@@ -242,13 +240,9 @@ def cholesky(packed: np.ndarray, jitter: float = 0.0, ids: np.ndarray | None = N
     packed holds the symmetric matrices C[b] as packed rows (B, P), so
     finiteness is checked once per stored entry. The jitter goes onto the
     diagonal of the unpacked stack, a new array, and packed is left
-    unchanged. The whole stack is factored in one call. If that fails,
-    each matrix goes through its own jitter ladder (starting at 1e-6 when
-    the given jitter is zero, doubling each retry, up to ``MAX_RETRIES``
-    times) before NotPositiveDefinite, naming the matrix as ids[b]
-    (default b), is raised, so only a failing matrix's jitter rises. Small
-    effective sample counts make near-singular covariances routine, so the
-    ladder is load-bearing.
+    unchanged. The whole stack is factored once, at the given jitter, with
+    no retry. If that fails, NotPositiveDefinite names the jitter and the
+    first matrix in stack order that does not factor, as ids[b] (default b).
     """
     if jitter < 0:
         raise ValueError(f"jitter must be nonnegative, got {jitter}")
@@ -266,25 +260,16 @@ def cholesky(packed: np.ndarray, jitter: float = 0.0, ids: np.ndarray | None = N
     try:
         return np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        eye = np.eye(dim)
-        return np.stack([
-            _jitter_ladder(dense, float(jitter), eye, b if ids is None else ids[b])
-            for b, dense in enumerate(unpack(packed, dim))
-        ])
-
-
-def _jitter_ladder(dense: np.ndarray, current: float, eye: np.ndarray, name):
-    for attempt in range(MAX_RETRIES + 1):
-        try:
-            return np.linalg.cholesky(dense if current == 0.0 else dense + current * eye)
-        except np.linalg.LinAlgError:
-            if attempt == MAX_RETRIES:
-                break
-            current = 1e-6 if current == 0.0 else 2.0 * current
-    raise NotPositiveDefinite(
-        f"factorization of mode {name} failed after {MAX_RETRIES} jitter retries "
-        f"(last jitter {current:g})"
-    )
+        # the stacked call does not say which matrix failed: factor each alone
+        for b, dense in enumerate(shifted):
+            try:
+                np.linalg.cholesky(dense)
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(
+                    f"factorization of mode {b if ids is None else ids[b]} failed "
+                    f"at jitter {float(jitter)!r}"
+                ) from None
+        raise
 
 
 def log_gauss_density_batch(xs: np.ndarray, means: np.ndarray, chols: np.ndarray,

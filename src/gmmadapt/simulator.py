@@ -111,7 +111,10 @@ class DomainSpec:
         a = rng.standard_normal((self.d_in, self.d_in))
         skew = (a - a.T) / 2.0
         skew *= 1.0 / np.linalg.norm(skew, 2)  # unit spectral norm generator
-        rot = expm(self.rotation_strength * skew)
+        generator = self.rotation_strength * skew
+        if not generator.any():  # a subnormal strength underflows to 0, whose exp is I
+            return np.eye(self.d_in)
+        rot = expm(generator)
         err = np.max(np.abs(rot @ rot.T - np.eye(self.d_in)))
         if not err <= ORTHOGONALITY_TOL:  # also true of NaN
             why = (f"max|R R^T - I| is {err:.1e}, above {ORTHOGONALITY_TOL:g}" if np.isfinite(err)

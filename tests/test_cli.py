@@ -260,6 +260,16 @@ class TestAdaptCommand:
         assert len(calls) == 3
         assert not (out / "summary.json").exists()
 
+    def test_zero_jitter_stops_the_default_run_at_batch_1(self, tmp_path, capsys):
+        # 64 samples in 64 dimensions make batch 1's covariances singular:
+        # modes 0-2 factor on rounding, with pivots near 1e-8, and mode 3,
+        # the first that does not, is named
+        out = tmp_path / "run"
+        assert main(["adapt", "--jitter", "0", "--n-batches", "2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("numerical failure: batch 1: factorization of mode 3 "
+                                           "failed at jitter 0.0\n")
+        assert not (out / "summary.json").exists()
+
     def test_bad_loss_mode_is_config_error(self, tmp_path, small_config, capsys):
         out = tmp_path / "run"
         assert main(["adapt", "--config", str(small_config), "--out", str(out),

@@ -361,15 +361,13 @@ class TestLikelihoodChecks:
         with pytest.raises(NonFiniteInput):
             gmm.likelihood_vectors(np.zeros((2, 2)))
 
-    def test_failing_mode_alone_gets_more_jitter(self):
-        # mode 0 is singular at zero jitter; mode 1 must be factored as if alone
+    def test_singular_mode_at_zero_jitter_raises(self):
+        # mode 0 is singular at zero jitter: no other jitter is tried for it
         gmm = mixture_from([[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0], jitter=0.0)
         gmm.cov_packed[0] = linalg.pack(np.ones((1, 2, 2)))[0]
-        x = np.array([[0.5, -0.5], [2.0, 1.0]])
-        alone = mixture_from([[1.0, 1.0]], [1.0], jitter=0.0)
-        logp = gmm.class_log_likelihoods_batch(x)
-        np.testing.assert_array_equal(logp[:, 1], alone.class_log_likelihoods_batch(x)[:, 0])
-        assert np.all(np.isfinite(logp[:, 0]))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"factorization of mode 0 failed at jitter 0\.0$"):
+            gmm.class_log_likelihoods_batch(np.array([[0.5, -0.5], [2.0, 1.0]]))
 
     def test_zero_pivot_in_a_later_block_names_the_class(self, monkeypatch):
         # LAPACK never returns a factor with a zero pivot, so one is planted

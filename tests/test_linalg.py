@@ -1,5 +1,6 @@
 import ctypes
 import glob
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -61,6 +62,34 @@ def density_problems(draw):
     return xs, means, chols
 
 
+@st.composite
+def factor_problems(draw):
+    """(covs, jitter, ids): 1-5 symmetric matrices of one dim from 1 to 6,
+    each SPD, rank-deficient or indefinite, a jitter of 0 or a positive
+    one, and distinct ids. covs is what packing keeps, the unpacked stack."""
+    dim = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(["spd", "rank_deficient", "indefinite"]),
+                          min_size=1, max_size=5))
+    jitter = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 2e-2, 1.0]))
+    ids = np.array(draw(st.lists(st.integers(0, 344), min_size=len(kinds),
+                                 max_size=len(kinds), unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    covs = []
+    for kind in kinds:
+        if kind == "indefinite":
+            # one negative eigenvalue, small enough for some jitters to lift
+            q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+            eig = rng.uniform(0.1, 2.0, dim)
+            eig[draw(st.integers(0, dim - 1))] = -draw(st.sampled_from([1e-9, 1e-4, 1e-2, 1.0]))
+            covs.append((q * eig) @ q.T)
+        else:
+            rank = dim + 2 if kind == "spd" else draw(st.integers(0, dim - 1))
+            a = rng.standard_normal((dim, rank))
+            covs.append(a @ a.T)
+    # adding 0.0 turns any -0.0 into 0.0, as adding the jitter would
+    return linalg.unpack(linalg.pack(np.stack(covs)), dim) + 0.0, jitter, ids
+
+
 class TestSymMat:
     """Packed lower-triangular storage: pack, unpack and the diagonal offsets."""
 
@@ -100,43 +129,70 @@ class TestCholesky:
         L = linalg.cholesky(np.zeros((1, 3)), jitter=1e-6)[0]
         np.testing.assert_allclose(L, np.sqrt(1e-6) * np.eye(2), rtol=1e-12)
 
-    def test_jitter_ladder_rescues_singular(self):
-        # rank-1 matrix, zero jitter: ladder kicks in at 1e-6
+    def test_singular_matrix_raises_naming_the_jitter(self):
+        # rank-1 matrix at zero jitter: factored once, never at another jitter
         d = np.array([1.0, 2.0, 3.0])
-        L = linalg.cholesky(linalg.pack(np.outer(d, d)[None]), jitter=0.0)
-        assert np.all(np.isfinite(L))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"factorization of mode 0 failed at jitter 0\.0$"):
+            linalg.cholesky(linalg.pack(np.outer(d, d)[None]), jitter=0.0)
 
-    def test_ladder_only_for_failing_matrix(self):
-        # one singular matrix in the stack: its neighbour keeps the base jitter
+    def test_first_failing_matrix_in_stack_order_is_named(self):
+        # a factorable matrix, then a singular one, then an indefinite one
         d = np.array([1.0, 2.0, 3.0])
         spd = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]])
-        L = linalg.cholesky(linalg.pack(np.stack([np.outer(d, d), spd])), jitter=0.0)
-        np.testing.assert_array_equal(L[1], np.linalg.cholesky(spd))
-        assert np.all(np.isfinite(L[0]))
-        assert np.max(np.abs(L[0] @ L[0].T - np.outer(d, d))) > 0.0
+        packed = linalg.pack(np.stack([spd, np.outer(d, d), -np.eye(3)]))
+        with pytest.raises(NotPositiveDefinite,
+                           match=r"factorization of mode 8 failed at jitter 0\.0$"):
+            linalg.cholesky(packed, jitter=0.0, ids=np.array([5, 8, 2]))
 
-    def test_ladder_exhaustion_raises(self):
+    def test_indefinite_raises(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.cholesky(linalg.pack(-np.eye(3)[None]), jitter=0.0)
 
-    def test_ladder_exhaustion_names_the_mode(self):
+    def test_failure_names_the_mode(self):
         packed = linalg.pack(np.stack([np.eye(3), -np.eye(3)]))
         with pytest.raises(NotPositiveDefinite, match="factorization of mode 70 failed"):
             linalg.cholesky(packed, jitter=1e-6, ids=np.array([40, 70]))
 
     @pytest.mark.parametrize("jitter,failing", [(0.0, False), (1e-3, False), (1e-3, True)],
-                             ids=["no_jitter", "jitter", "jitter_ladder"])
+                             ids=["no_jitter", "jitter", "failing"])
     def test_input_left_unchanged(self, jitter, failing):
-        # the jitter goes onto the unpacked stack's diagonal, never onto the caller's rows
+        # the jitter goes onto the unpacked stack's diagonal, never onto the
+        # caller's rows, also when the factorization fails
         rng = np.random.default_rng(12)
         a = rng.standard_normal((3, 5, 8))
         covs = a @ a.transpose(0, 2, 1)
         if failing:
-            covs[1] = np.diag([-1.5e-3, 1.0, 1.0, 1.0, 1.0])  # factors at twice the jitter
+            covs[1] = np.diag([-1.5e-3, 1.0, 1.0, 1.0, 1.0])  # indefinite at this jitter
         packed = linalg.pack(covs)
         before = packed.tobytes()
-        linalg.cholesky(packed, jitter=jitter)
+        if failing:
+            with pytest.raises(NotPositiveDefinite, match=r"mode 1 failed at jitter 0\.001$"):
+                linalg.cholesky(packed, jitter=jitter)
+        else:
+            linalg.cholesky(packed, jitter=jitter)
         assert packed.tobytes() == before
+
+    @given(factor_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_factors_at_the_given_jitter_or_names_the_first_failure(self, problem):
+        # each factor is that of C[b] + jitter * I computed alone, bit for
+        # bit; else the lowest b whose own factorization fails is named
+        covs, jitter, ids = problem
+        own = []
+        for cov in covs:
+            try:
+                own.append(np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])))
+            except np.linalg.LinAlgError:
+                own.append(None)
+        failing = [b for b, factor in enumerate(own) if factor is None]
+        if failing:
+            message = f"factorization of mode {ids[failing[0]]} failed at jitter {jitter!r}"
+            with pytest.raises(NotPositiveDefinite, match=re.escape(message) + "$"):
+                linalg.cholesky(linalg.pack(covs), jitter, ids=ids)
+        else:
+            chols = linalg.cholesky(linalg.pack(covs), jitter, ids=ids)
+            assert [L.tobytes() for L in chols] == [L.tobytes() for L in own]
 
     @pytest.mark.parametrize("jitter", [0.0, 1e-3])
     def test_factor_of_the_jittered_matrix_bit_for_bit(self, jitter):

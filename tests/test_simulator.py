@@ -82,6 +82,14 @@ class TestDomainSpec:
                          rotation_strength=strength).rotation()
         assert np.max(np.abs(rot @ rot.T - np.eye(20))) <= ORTHOGONALITY_TOL
 
+    def test_subnormal_strength_gives_the_identity(self):
+        # 5e-324 times the unit-norm skew underflows to the zero matrix
+        from scipy.linalg import expm
+
+        rot = default_domain(d_in=11, rotation_seed=1, rotation_strength=5e-324).rotation()
+        np.testing.assert_array_equal(rot, np.eye(11))
+        np.testing.assert_array_equal(rot, expm(np.zeros((11, 11))))
+
     def test_rotation_bits_are_scipy_expm_bits(self):
         """Over d_in, seed and a signed strength the rotation is
         scipy.linalg.expm(strength * skew) bit for bit, orthogonal with
