@@ -43,8 +43,8 @@ def _scipy_path(*parts: str) -> str:
     return os.path.join(os.path.dirname(os.path.dirname(spec.origin)), *parts)
 
 
-def _load_dtrsm():
-    """``scipy_dtrsm_`` from scipy's bundled OpenBLAS, bound once.
+def _load_openblas() -> ctypes.CDLL:
+    """scipy's bundled OpenBLAS, opened once, with ``scipy_dtrsm_`` bound.
 
     The library is LP64, so every integer argument is a 32-bit int. There
     is no fallback: a scipy without the bundled library is an ImportError
@@ -70,14 +70,15 @@ def _load_dtrsm():
         raise ImportError(f"no library matches {pattern}: gmmadapt needs a scipy wheel "
                           "that bundles libscipy_openblas")
     try:
-        fn = ctypes.CDLL(found[0]).scipy_dtrsm_
+        lib = ctypes.CDLL(found[0])
+        lib.scipy_dtrsm_.restype = None
     except (OSError, AttributeError) as exc:
         raise ImportError(f"cannot bind scipy_dtrsm_ in {found[0]}: {exc}") from None
-    fn.restype = None
-    return fn
+    return lib
 
 
-_dtrsm = _load_dtrsm()
+_openblas = _load_openblas()
+_dtrsm = _openblas.scipy_dtrsm_
 # dtrsm's side, uplo, trans and diag flags: L, U, T, N
 _FLAGS = tuple(ctypes.c_char_p(flag) for flag in (b"L", b"U", b"T", b"N"))
 
@@ -88,19 +89,20 @@ def pin_openblas() -> None:
     OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, as it loads, so numpy (or
     ``scipy.linalg``) imported before gmmadapt keeps its default thread
     count, and at 2 threads some configs write other bytes than at one.
-    No silent failure: a library or thread setter not found is a
+    scipy's library is the one opened at import. No silent failure:
+    numpy's library not found, or a thread setter not found, is a
     RuntimeWarning that names the path searched and the two remedies.
     """
     site = os.path.dirname(os.path.dirname(np.__file__))
-    for pattern, setter in (
-        (os.path.join(site, "numpy.libs", "libscipy_openblas64_*.so"),
-         "scipy_openblas_set_num_threads64_"),
-        (_scipy_path("scipy.libs", "libscipy_openblas-*.so"), "scipy_openblas_set_num_threads"),
+    pattern = os.path.join(site, "numpy.libs", "libscipy_openblas64_*.so")
+    found = sorted(glob.glob(pattern))
+    for path, lib, setter in (
+        (pattern, ctypes.CDLL(found[0]) if found else None, "scipy_openblas_set_num_threads64_"),
+        (_openblas._name, _openblas, "scipy_openblas_set_num_threads"),
     ):
-        found = sorted(glob.glob(pattern))
-        pin = getattr(ctypes.CDLL(found[0]), setter, None) if found else None
+        pin = getattr(lib, setter, None)
         if pin is None:
-            warnings.warn(f"no library matching {pattern} has {setter}, so it keeps its BLAS "
+            warnings.warn(f"no library matching {path} has {setter}, so it keeps its BLAS "
                           "threads, and a run may write other bytes than at one thread: set "
                           "OPENBLAS_NUM_THREADS=1, or import gmmadapt before numpy",
                           RuntimeWarning, stacklevel=2)

@@ -207,28 +207,21 @@ def run_adapt(cfg: RunConfig, out_dir: Path, *, setup: Setup | None = None) -> d
     setup, when given, must come from prepare_setup for a config with the
     same setup_key, which is how a loaded source model is passed; it is
     left unchanged. Without it, prepare_setup(cfg) trains the source model.
-    Layout: config.resolved.json, metrics.jsonl, metrics.csv,
-    thresholds.csv, model.ckpt, gmm.ckpt, summary.json.
+    Layout, in write order: config.resolved.json (before the first
+    batch), metrics.jsonl, metrics.csv, model.ckpt, gmm.ckpt, summary.json.
     """
     if setup is None:
         setup = prepare_setup(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    resolved = cfg.resolved_dict()
+    resolved["derived"]["source_holdout_accuracy"] = setup.holdout_acc
+    (out_dir / "config.resolved.json").write_text(json.dumps(resolved, indent=2) + "\n")
 
     result = adapt_stream(cfg, setup.model.copy(), setup.stream.restarted())
     summary = result.summary(cfg)
-
-    resolved = cfg.resolved_dict()
-    resolved["derived"]["source_holdout_accuracy"] = setup.holdout_acc
-    resolved["derived"]["tau_k"] = result.thresholds.tau_k
-    resolved["derived"]["tau_u"] = result.thresholds.tau_u
-    resolved["derived"]["tau"] = result.thresholds.tau
-    resolved["derived"]["thresholds_frozen"] = result.thresholds.frozen
-    (out_dir / "config.resolved.json").write_text(json.dumps(resolved, indent=2) + "\n")
-
     metrics.write_jsonl(result.records, out_dir / "metrics.jsonl")
     metrics.write_csv(result.records, out_dir / "metrics.csv")
-    metrics.write_csv(result.records, out_dir / "thresholds.csv", ("batch", "tau_k", "tau_u"))
     result.model.save(out_dir / "model.ckpt")
     (out_dir / "gmm.ckpt").write_text(result.gmm.to_snapshot())
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -395,14 +395,20 @@ class TestOpenBlas:
         assert not releases_the_gil(dtrsm)
 
     def test_missing_library_is_a_warning_naming_the_path(self, monkeypatch):
-        """No silent fallback when numpy was imported before gmmadapt and an
-        OpenBLAS copy cannot be pinned to one thread."""
+        """No silent fallback when numpy was imported before gmmadapt and its
+        OpenBLAS copy cannot be found to pin it to one thread. scipy's copy
+        is the one opened at import, so only numpy's is searched for."""
         monkeypatch.setattr(linalg, "glob", SimpleNamespace(glob=lambda pattern: []))
         with pytest.warns(RuntimeWarning) as warned:
             linalg.pin_openblas()
-        messages = [str(w.message) for w in warned]
-        assert len(messages) == 2
-        for message, lib in zip(messages, ("numpy.libs/libscipy_openblas64_*.so",
-                                           "scipy.libs/libscipy_openblas-*.so")):
-            assert f"{lib} has scipy_openblas_set_num_threads" in message
-            assert message.endswith("set OPENBLAS_NUM_THREADS=1, or import gmmadapt before numpy")
+        [message] = [str(w.message) for w in warned]
+        assert "numpy.libs/libscipy_openblas64_*.so has scipy_openblas_set_num_threads64_" in message
+        assert message.endswith("set OPENBLAS_NUM_THREADS=1, or import gmmadapt before numpy")
+
+    def test_missing_setter_is_a_warning_naming_the_library(self, monkeypatch):
+        path = linalg._openblas._name
+        monkeypatch.setattr(linalg, "_openblas", SimpleNamespace(_name=path))
+        with pytest.warns(RuntimeWarning) as warned:
+            linalg.pin_openblas()
+        [message] = [str(w.message) for w in warned]
+        assert f"{path} has scipy_openblas_set_num_threads," in message
