@@ -6,10 +6,9 @@ is predicted as the unknown class. The H-score is the harmonic mean of the
 two. Rates with empty denominators are recorded as explicit nulls, never
 zeros, so averages are not poisoned.
 
-Records are emitted as JSONL (one object per batch, stable key order; each
-row carries a counts sub-object so summaries can be recomputed exactly
-from the file alone) and as a CSV mirror whose columns are RunRecord's
-fields, in order, but the counts. read_jsonl reads each line back with
+Records are emitted as JSONL, one object per batch in stable key order;
+each row carries a counts sub-object so summaries can be recomputed
+exactly from the file alone. read_jsonl reads each line back with
 errors.read_dataclass, the reader of configs too; a record's counts must
 be nonnegative and fit together (a part never exceeds its whole, and the
 known and unknown samples make up the batch), its rates must follow from
@@ -18,7 +17,7 @@ them, and the n-th record must be batch n.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -133,10 +132,6 @@ class RunRecord:
             raise ValueError(f"{', '.join(wrong)} do not match the counts")
 
 
-# metrics.csv's columns: RunRecord's fields, in order, but the counts.
-CSV_COLUMNS = tuple(f.name for f in fields(RunRecord) if f.name != "counts")
-
-
 def score_batch(
     true_labels: np.ndarray,
     predictions: np.ndarray,
@@ -220,7 +215,7 @@ def summarize(records: list[RunRecord], kind: str, n_init: int) -> dict:
 
     post = [r for r in records if r.batch > n_init]
     early_window = [r for r in records if n_init < r.batch <= n_init + 20]
-    final_window = records[-20:] if len(records) >= 20 else records
+    final_window = records[-20:]
 
     frozen = len(records) >= n_init
     summary = {
@@ -268,20 +263,17 @@ def read_jsonl(path) -> list[RunRecord]:
     return records
 
 
-def csv_text(rows, columns) -> str:
-    """Header line plus one line per row, a dict or an object with the
-    columns as attributes: None is an empty cell, a float its repr,
-    anything else str.
+def csv_text(rows: list[dict], columns) -> str:
+    """Header line plus one line per dict row: None is an empty cell, a
+    float its repr, anything else str.
     """
     def cell(v):
         return "" if v is None else repr(v) if isinstance(v, float) else str(v)
 
     lines = [",".join(columns)]
-    for row in rows:
-        values = row if isinstance(row, dict) else vars(row)
-        lines.append(",".join(cell(values[k]) for k in columns))
+    lines += [",".join(cell(row[k]) for k in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
-def write_csv(rows, path, columns=CSV_COLUMNS) -> None:
+def write_csv(rows: list[dict], path, columns) -> None:
     Path(path).write_text(csv_text(rows, columns))

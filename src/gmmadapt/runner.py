@@ -208,7 +208,7 @@ def run_adapt(cfg: RunConfig, out_dir: Path, *, setup: Setup | None = None) -> d
     same setup_key, which is how a loaded source model is passed; it is
     left unchanged. Without it, prepare_setup(cfg) trains the source model.
     Layout, in write order: config.resolved.json (before the first
-    batch), metrics.jsonl, metrics.csv, model.ckpt, gmm.ckpt, summary.json.
+    batch), metrics.jsonl, model.ckpt, gmm.ckpt, summary.json.
     """
     if setup is None:
         setup = prepare_setup(cfg)
@@ -221,7 +221,6 @@ def run_adapt(cfg: RunConfig, out_dir: Path, *, setup: Setup | None = None) -> d
     result = adapt_stream(cfg, setup.model.copy(), setup.stream.restarted())
     summary = result.summary(cfg)
     metrics.write_jsonl(result.records, out_dir / "metrics.jsonl")
-    metrics.write_csv(result.records, out_dir / "metrics.csv")
     result.model.save(out_dir / "model.ckpt")
     (out_dir / "gmm.ckpt").write_text(result.gmm.to_snapshot())
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -15,7 +15,6 @@ PINNED = {
     "metrics.jsonl": "607df1d66ac04d22a711cafcd035b8bffece221b96fa521a7772efb096589081",
     "gmm.ckpt": "5ae2e88e28711ad4339c8638f3f0843f8d17c32a3f2a8ea08d3901cf7c3c98c2",
     "config.resolved.json": "cc2ecf55bd8aeeeb4569edf71afb96ba9316c39ec799d844ce8976676b8d3be6",
-    "metrics.csv": "73a91c85c34d37cefa85ebedc99604b30550dd915a4a708b7a446cb4586ce4c2",
     "summary.json": "873fea912a62492090abc858eb84aba9ce02ccacc9f7a2ab64fd8769909b3c9e",
     "model.ckpt": "60255dd7c33c23f5a0b49f371984daf4fce6afbe648de15a90972512003b4f5d",
 }
