@@ -23,5 +23,5 @@ with tempfile.TemporaryDirectory(prefix="gmmadapt_sweep_") as tmp:
 
     print(f"sweep directory: {out_dir}\n")
     print((out_dir / "sweep.csv").read_text())
-    one = json.loads((out_dir / "p_reject=50_rep0" / "summary.json").read_text())
+    one = json.loads((out_dir / "p_reject=50.0_rep0" / "summary.json").read_text())
     print(f"one cell's full-run H-score: {one['full_run']['h_score']:.3f}")

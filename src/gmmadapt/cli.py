@@ -87,9 +87,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="hyperparameter sweep over repeated runs")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("--out", help="sweep directory (default <root>/sweep)")
-    p_sweep.add_argument("--parameter", required=True)
+    p_sweep.add_argument("--parameter", required=True,
+                         help="top-level int or float config key but seed, any case: fd_r, lambda")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated values, e.g. 16,32,64")
+                         help="comma-separated values, e.g. 16,32,64; 40 is 40.0 for a float key")
     p_sweep.add_argument("--repeats", type=int, default=1)
     p_sweep.add_argument("--compensate-n-init", action="store_true",
                          help="scale n_init to keep n_init*n_b constant (batch-size sweeps)")

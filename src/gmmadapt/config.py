@@ -176,11 +176,11 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     """Config file (optional) merged with flag overrides on top of defaults."""
     doc = default_config().to_dict()
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 user = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"config is not valid JSON: {err}") from err
+            except (json.JSONDecodeError, UnicodeDecodeError) as err:
+                raise ConfigError(f"config {path} is not valid JSON: {err}") from err
         check_type(user, dict, False, f"config {path}", ConfigError)
         doc = _merge(doc, user)
     if overrides:

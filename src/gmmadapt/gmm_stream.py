@@ -263,7 +263,7 @@ class GaussianMixtureStream:
         """
         try:
             doc = json.loads(blob, object_hook=_rows_as_arrays)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise MalformedFile(f"snapshot is not JSON: {err}") from err
         check_keys(doc, [*_HEADER, "modes"], "snapshot", MalformedFile)
         if doc["format_version"] != cls.format_version:

@@ -250,14 +250,15 @@ def write_jsonl(records: list[RunRecord], path) -> None:
 def read_jsonl(path) -> list[RunRecord]:
     """The records of a metrics.jsonl file, the n-th of batch n; blank lines are skipped."""
     records = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # decoded per line, so a bad byte names its line
         for lineno, line in enumerate(fh, 1):
             if line.strip():
                 try:
-                    record = read_dataclass(RunRecord, json.loads(line), "record", MalformedFile)
+                    doc = json.loads(line.decode())  # strict UTF-8: no BOM, no UTF-16
+                    record = read_dataclass(RunRecord, doc, "record", MalformedFile)
                     if record.batch != len(records) + 1:
                         raise MalformedFile(f"batch {record.batch}, expected {len(records) + 1}")
-                except (json.JSONDecodeError, MalformedFile) as err:
+                except (json.JSONDecodeError, UnicodeDecodeError, MalformedFile) as err:
                     raise MalformedFile(f"{path} line {lineno}: {err}") from err
                 records.append(record)
     return records

@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics
-from .config import RunConfig
-from .errors import ConfigError, GmmAdaptError, MalformedFile, NumericalFailure, declared_types
+from .config import RunConfig, config_keys
+from .errors import ConfigError, GmmAdaptError, MalformedFile, NumericalFailure
 from .gmm_stream import GaussianMixtureStream
 from .metrics import MemoryModelInputs, RunRecord, memory_report, score_batch, summarize
 from .objectives import contrastive_loss, kld_loss
@@ -250,8 +250,8 @@ def replay(run_dir: Path) -> dict:
     run_dir = Path(run_dir)
     path = run_dir / "config.resolved.json"
     try:
-        cfg = RunConfig.from_dict(json.loads(path.read_text()))
-    except (json.JSONDecodeError, ConfigError) as err:
+        cfg = RunConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (json.JSONDecodeError, UnicodeDecodeError, ConfigError) as err:
         raise MalformedFile(f"{path}: {err}") from err
     path = run_dir / "metrics.jsonl"
     records = metrics.read_jsonl(path)
@@ -270,41 +270,41 @@ def run_sweep(
 ) -> list[dict]:
     """Cross product of values x repeats, one row of aggregated means per value.
 
-    Any top-level int or float key can be swept except seed, which the
-    repeats own: repeats use seeds base.seed + r so the same seeds pair up
-    across values. The parameter is named by its config key or its field
-    name, in any case (lambda, lam, FD_r, N_b). When sweeping the batch
-    size, the compensation mode rescales n_init to hold n_init * n_b
-    (samples used for initialization) constant. Cells with one setup_key
-    share one prepare_setup: sweeping a key outside SETUP_KEYS trains one
-    source model per repeat, not one per cell.
+    Any top-level int or float key but seed can be swept; repeats use seeds
+    base.seed + r, so the same seeds pair up across values. The parameter is
+    a config key, in any case (lambda, FD_r, N_b). A cell is
+    RunConfig.from_dict of the base's document with the seed and the key
+    replaced, an int for a float key read as its flag reads it, so it is the
+    `gmmadapt adapt` run with the same flags; its directory and sweep.csv row
+    name the key and its value (p_reject=40.0_rep0). Batch-size sweeps may
+    rescale n_init to hold n_init * n_b constant. Cells with one setup_key
+    share one prepare_setup: one task and one trained source model.
     """
-    sweepable = {}
-    for field, (key, typ, _) in declared_types(RunConfig).items():
-        if typ in (int, float) and field != "seed":
-            sweepable[key] = sweepable[field] = field
-    name = sweepable.get(parameter.lower())
-    if name is None:
-        raise GmmAdaptError(
-            f"unknown sweep parameter {parameter!r}; choose from {sorted(sweepable)}"
-        )
+    sweepable = {path[0]: typ for path, typ in config_keys()
+                 if len(path) == 1 and typ in (int, float) and path != ("seed",)}
+    name = parameter.lower()
+    if name not in sweepable:
+        raise GmmAdaptError(f"unknown sweep parameter {parameter!r}; "
+                            f"choose from {sorted(sweepable)}")
     if repeats < 1:
         raise GmmAdaptError("repeats must be at least 1")
     if compensate_n_init and name != "n_b":
         raise GmmAdaptError("n_init compensation only applies to batch-size sweeps")
+    values = [float(v) if sweepable[name] is float and type(v) is int else v for v in values]
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
         raise GmmAdaptError(f"sweep values repeat: {repeated}")
 
-    # Every cell is validated before the first one runs.
+    # Every cell is read, and so checked, before the first one runs.
+    doc = base.validate().to_dict()
     cells = []
     for value in values:
         for rep in range(repeats):
             changes = {"seed": base.seed + rep, name: value}
-            if compensate_n_init and value > 0:  # replace rejects any n_b below 4
+            if compensate_n_init and value > 0:  # from_dict rejects any n_b below 4
                 changes["n_init"] = max(1, int(np.floor(base.n_init * base.n_b / value + 0.5)))
-            cfg = replace(base, **changes)
-            cells.append((f"{name}={value}_rep{rep}", cfg.validate(), setup_key(cfg)))
+            cfg = RunConfig.from_dict({**doc, **changes})
+            cells.append((f"{name}={value}_rep{rep}", cfg, setup_key(cfg)))
     last_cell = {key: i for i, (_, _, key) in enumerate(cells)}
 
     out_dir = Path(out_dir)

@@ -581,6 +581,20 @@ class TestMalformedRunFiles:
         path.write_text(path.read_text()[:200])
         self._assert_file_error(capsys, ["replay", str(run_dir)], "config.resolved.json:")
 
+    @pytest.mark.parametrize("name,where", [
+        ("config.resolved.json", "config.resolved.json: "),
+        ("metrics.jsonl", "metrics.jsonl line 5: "),
+    ], ids=["config", "log"])
+    def test_replay_of_a_byte_that_is_not_utf8(self, tmp_path, small_run, capsys, name, where):
+        run_dir = tmp_path / "run"
+        shutil.copytree(small_run / "run", run_dir)
+        path = run_dir / name
+        data = bytearray(path.read_bytes())
+        data[sum(map(len, data.splitlines(keepends=True)[:4])) + 10] = 0xff  # line 5
+        path.write_bytes(bytes(data))
+        self._assert_file_error(capsys, ["replay", str(run_dir)],
+                                where + "'utf-8' codec can't decode byte 0xff")
+
 
 class TestReplayCommand:
     def test_replay_reproduces_summary(self, tmp_path, small_config, capsys):
@@ -593,16 +607,16 @@ class TestReplayCommand:
 
 # sha256 of every file a small sweep writes, cell directories and sweep.csv.
 P_REJECT_SWEEP_PINS = {
-    "p_reject=40_rep0/config.resolved.json": "23fcac322ec74b703fed478324c9c53f9c1a72eacab1ddcb7c4e7f1e56bf3233",
-    "p_reject=40_rep0/gmm.ckpt": "1757131169bb98871488c40df5f62bdc9c07d43f80f5d5e53ae5ecf311d4ce1d",
-    "p_reject=40_rep0/metrics.jsonl": "0170bfc72f8f617cbbd3af12384340277547a34c3a6117e2ffbc3bf45421a591",
-    "p_reject=40_rep0/model.ckpt": "b15269c8753e9f6334298e67d4d9cc4831e60d3485fe00e6ad0037b0ab694c62",
-    "p_reject=40_rep0/summary.json": "c15822288239397c9ca1b11af1ce57ee8dae3caa04c9b6e898f86ad1872286bb",
-    "p_reject=40_rep1/config.resolved.json": "ae87858e9b4c91fdeeb29dea8e6e6e9e5494b99f7f4acd18ca9d59743233cb4a",
-    "p_reject=40_rep1/gmm.ckpt": "649ac0e9fb954fa5324cd1d7bd89f1be27e2c51aceb9d0851e4097cffa91faed",
-    "p_reject=40_rep1/metrics.jsonl": "0d54e1347c8873f114f6c36185fb1e98ccaed7e9c0e89edfdf24ede53bb1d9cf",
-    "p_reject=40_rep1/model.ckpt": "5d0ff154dab28a309e00bf376104a6a7625af201b60153cfad362a28661ebb33",
-    "p_reject=40_rep1/summary.json": "8c3fdac3d783da2e4b6af9149bc1622b0cc523fe6d08fc0efca739a223ed2092",
+    "p_reject=40.0_rep0/config.resolved.json": "4b93152956962f3503656b4d70d80c1536ea9e9198e86c5c8067a11b04946bcf",
+    "p_reject=40.0_rep0/gmm.ckpt": "1757131169bb98871488c40df5f62bdc9c07d43f80f5d5e53ae5ecf311d4ce1d",
+    "p_reject=40.0_rep0/metrics.jsonl": "0170bfc72f8f617cbbd3af12384340277547a34c3a6117e2ffbc3bf45421a591",
+    "p_reject=40.0_rep0/model.ckpt": "b15269c8753e9f6334298e67d4d9cc4831e60d3485fe00e6ad0037b0ab694c62",
+    "p_reject=40.0_rep0/summary.json": "c15822288239397c9ca1b11af1ce57ee8dae3caa04c9b6e898f86ad1872286bb",
+    "p_reject=40.0_rep1/config.resolved.json": "ad11f2f9d7a9e4221955afefe60b0f3739fa0e1c0a9c7cc49e5762f82d62b3c3",
+    "p_reject=40.0_rep1/gmm.ckpt": "649ac0e9fb954fa5324cd1d7bd89f1be27e2c51aceb9d0851e4097cffa91faed",
+    "p_reject=40.0_rep1/metrics.jsonl": "0d54e1347c8873f114f6c36185fb1e98ccaed7e9c0e89edfdf24ede53bb1d9cf",
+    "p_reject=40.0_rep1/model.ckpt": "5d0ff154dab28a309e00bf376104a6a7625af201b60153cfad362a28661ebb33",
+    "p_reject=40.0_rep1/summary.json": "8c3fdac3d783da2e4b6af9149bc1622b0cc523fe6d08fc0efca739a223ed2092",
     "p_reject=60.5_rep0/config.resolved.json": "80d2d84616bc8c438f00a636356681abe629f41a660d7014c22db82be208c781",
     "p_reject=60.5_rep0/gmm.ckpt": "d6bc3594a884e74297c6a8c6bacd26e09aa33e3322bd98baed618d41a49c9bc6",
     "p_reject=60.5_rep0/metrics.jsonl": "2619040cb27f567c2c4cdde5cadac43fbcd928d58a3c190b8bcd69bc7f9427c8",
@@ -613,7 +627,7 @@ P_REJECT_SWEEP_PINS = {
     "p_reject=60.5_rep1/metrics.jsonl": "e06b6b6ad5527442d153893650b740364d0030fa1b4766b7ad9c0fcf147e5179",
     "p_reject=60.5_rep1/model.ckpt": "b72d97b2b32f2e968714464de1cd70b2ac28b1dc6b4b44a79a9f07c3fe6304ed",
     "p_reject=60.5_rep1/summary.json": "2789eef35276cc02e3dadc1b476a0fc841f32d3fbe8bb00cd6c5492d13dfb9c8",
-    "sweep.csv": "f9f27d6cd0f199a80c80726adc7cf38c1870c86ced5b2f32fd22803cd2ef7a34",
+    "sweep.csv": "a32e774b905328bc55a6372b0a8b0abf994a7ccf1b6fa9f22d414b958ca01cf3",
 }
 FD_R_SWEEP_PINS = {
     "fd_r=6_rep0/config.resolved.json": "25676a925f70d546a91c160b2f6ebb2d25bcc1f3cc952da3ea362d6df00f0794",
@@ -643,8 +657,8 @@ class TestSweepCommand:
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert lines[0] == "parameter,value,n_runs,mean_primary_metric,std_primary_metric"
         assert len(lines) == 3
-        assert (out / "lam=0_rep0" / "summary.json").exists()
-        assert (out / "lam=1_rep1" / "summary.json").exists()
+        assert (out / "lambda=0.0_rep0" / "summary.json").exists()
+        assert (out / "lambda=1.0_rep1" / "summary.json").exists()
 
     def test_sweep_table_bytes_pinned(self, tmp_path, small_config):
         out = tmp_path / "sweep"
@@ -653,7 +667,7 @@ class TestSweepCommand:
                      "--n-batches", "6"]) == 0
         assert (out / "sweep.csv").read_text() == (
             "parameter,value,n_runs,mean_primary_metric,std_primary_metric\n"
-            "p_reject,40,2,0.6766770299636757,0.08419253525371578\n"
+            "p_reject,40.0,2,0.6766770299636757,0.08419253525371578\n"
             "p_reject,60.5,2,0.671036961200142,0.11843672301038422\n"
         )
         assert _tree_digests(out) == P_REJECT_SWEEP_PINS
@@ -718,7 +732,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(small_config), "--out", str(out),
                      "--parameter", "p_reject", "--values", "40,40.0"]) == 2
-        assert capsys.readouterr().err == "config error: sweep values repeat: [40]\n"
+        assert capsys.readouterr().err == "config error: sweep values repeat: [40.0]\n"
         assert not out.exists()
 
     def test_compensated_batch_size_zero_is_config_error(self, tmp_path, small_config, capsys):
@@ -737,6 +751,28 @@ class TestSweepCommand:
         assert capsys.readouterr().err == (
             "config error: domain.rotation_seed must be null or nonnegative\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("parameter,value,flag,cell", [
+        ("p_reject", "40", "--p-reject", "p_reject=40.0_rep0"),
+        ("LAMBDA", "0", "--lambda", "lambda=0.0_rep0"),
+    ], ids=["p_reject", "lambda"])
+    def test_one_value_cell_is_the_adapt_run_with_that_flag(self, tmp_path, small_config,
+                                                           parameter, value, flag, cell):
+        common = ["--config", str(small_config), "--n-batches", "6"]
+        assert main(["sweep", *common, "--out", str(tmp_path / "sweep"),
+                     "--parameter", parameter, "--values", value]) == 0
+        assert main(["adapt", *common, "--out", str(tmp_path / "alone"), flag, value]) == 0
+        assert sorted(path.name for path in (tmp_path / "sweep").iterdir()) == [cell, "sweep.csv"]
+        for name in RUN_FILES:
+            alone = (tmp_path / "alone" / name).read_bytes()
+            assert (tmp_path / "sweep" / cell / name).read_bytes() == alone, name
+
+    def test_field_name_is_not_a_sweep_parameter(self, tmp_path, small_config, capsys):
+        assert main(["sweep", "--config", str(small_config), "--out", str(tmp_path / "s"),
+                     "--parameter", "lam", "--values", "0"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: unknown sweep parameter 'lam'; choose from [")
+        assert not (tmp_path / "s").exists()
 
     def test_single_value_single_repeat_degenerates_to_adapt(self, tmp_path, small_config):
         out = tmp_path / "sweep"

@@ -6,7 +6,8 @@ not an object at the top level, a key missing, a key added, a bool in an
 int key, a string in a float key. Each fault must raise a GmmAdaptError
 whose message ends in the shared shape: "<what> keys: missing [...],
 unexpected [...]" or "<name> must be <type>[ or null], got <value>".
-A model checkpoint is also fed with one non-finite entry in each array.
+A model checkpoint is also fed with one non-finite entry in each array,
+and each reader of JSON text with one byte that is not UTF-8.
 Each dataclass a config or record reader builds checks its own values, so
 a value fault read from a document is the constructor's error, named by
 its path.
@@ -203,3 +204,39 @@ def test_value_fault_built_in_code_is_the_class_error(cls, fault, name, value, m
         replace(instance(), **{name: value})
     assert type(info.value) is error
     assert str(info.value) == f"{name} {message}"
+
+
+def _replay_bytes(data, tmp_path):
+    """replay of a run whose config.resolved.json holds data, with a valid log."""
+    _feed_resolved_config(default_config().resolved_dict(), tmp_path)
+    (tmp_path / "config.resolved.json").write_bytes(data)
+    return replay(tmp_path)
+
+
+def _file(path, data):
+    path.write_bytes(data)
+    return path
+
+
+# name: (feed(bytes, tmp_path), its error, the message before the decoder's)
+UNDECODABLE = {
+    "load_config": (lambda data, tmp_path: load_config(str(_file(tmp_path / "run.json", data))),
+                    ConfigError, "config {tmp}/run.json is not valid JSON: "),
+    "read_jsonl": (lambda data, tmp_path: read_jsonl(_file(tmp_path / "metrics.jsonl", data)),
+                   MalformedFile, "{tmp}/metrics.jsonl line 1: "),
+    "from_snapshot": (lambda data, _: GaussianMixtureStream.from_snapshot(data),
+                      MalformedFile, "snapshot is not JSON: "),
+    "replay": (_replay_bytes, MalformedFile, "{tmp}/config.resolved.json: "),
+}
+
+
+@pytest.mark.parametrize("name", UNDECODABLE)
+def test_reader_rejects_a_byte_that_is_not_utf8(tmp_path, name):
+    feed, error, where = UNDECODABLE[name]
+    data = bytearray(json.dumps(READERS[name][0]()).encode())
+    data[len(data) // 2] = 0xff
+    with pytest.raises(GmmAdaptError) as info:
+        feed(bytes(data), tmp_path)
+    assert type(info.value) is error
+    assert re.fullmatch(re.escape(where.format(tmp=tmp_path)) + r"'utf-8' codec can't decode "
+                        r"byte 0xff in position \d+: invalid start byte", str(info.value))

@@ -73,8 +73,8 @@ class TestSetupKey:
 
 class TestSweepParameters:
     def test_sweepable_set_pinned(self, tmp_path):
-        # every top-level int or float key but seed, by key and by field name
-        sweepable = ["augment_sigma", "fd", "fd_r", "jitter", "lam", "lambda", "lr", "momentum",
+        # every top-level int or float key but seed, by key
+        sweepable = ["augment_sigma", "fd", "fd_r", "jitter", "lambda", "lr", "momentum",
                      "n_b", "n_batches", "n_init", "n_source_holdout", "n_source_train",
                      "p_reject", "source_epochs", "source_lr", "temperature"]
         with pytest.raises(GmmAdaptError) as info:
