@@ -11,7 +11,7 @@ from gmmadapt.runner import adapt_stream, build_task, train_source_model
 cfg = default_config()
 cfg.n_batches = 80
 
-source, _ = build_task(cfg)
+source, stream = build_task(cfg)
 model, holdout_acc, _ = train_source_model(cfg, source)
 print(f"source model trained: holdout accuracy {holdout_acc:.3f}")
 print(f"task: {cfg.shift.kind} split "
@@ -23,7 +23,6 @@ for mode in ("none", "both"):
     cfg_m = default_config()
     cfg_m.n_batches = 80
     cfg_m.loss_mode = mode
-    _, stream = build_task(cfg_m)
     result = adapt_stream(cfg_m, model.copy(), stream)
     results[mode] = result.summary(cfg_m)
 

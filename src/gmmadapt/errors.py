@@ -102,9 +102,12 @@ def check_keys(doc, keys, what: str, error: type[GmmAdaptError]) -> None:
 
 
 def check_fields(obj, error: type[GmmAdaptError]) -> None:
-    """check_type on each field of a dataclass instance, named by its key."""
+    """check_type on each field of a dataclass instance, named by its key;
+    an int that passes for a float field is then stored as a float."""
     for name, (key, typ, nullable) in declared_types(type(obj)).items():
-        check_type(getattr(obj, name), typ, nullable, key, error)
+        check_type(value := getattr(obj, name), typ, nullable, key, error)
+        if typ is float and type(value) is int:
+            setattr(obj, name, float(value))  # finite, so it cannot overflow
 
 
 @functools.cache

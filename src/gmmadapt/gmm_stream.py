@@ -36,8 +36,8 @@ of the whole document would write, built one mode at a time. orjson
 formats each row's numbers, with the shortest round-trip digits of
 ``repr`` in a tenth of the time, and the few numbers that it lays out
 differently from ``json.dumps`` are re-spelled (see ``_reprs``).
-``from_snapshot`` parses with the standard ``json`` module, one mode's
-numbers at a time.
+``from_snapshot`` parses with ``json``, one mode's numbers at a time,
+checks every mode against the header, then stacks the modes' rows.
 """
 from __future__ import annotations
 
@@ -251,7 +251,7 @@ class GaussianMixtureStream:
 
     @classmethod
     def from_snapshot(cls, blob: str) -> "GaussianMixtureStream":
-        """Load a snapshot, rejecting any mode that does not fit the header.
+        """Load a snapshot, checked whole before its modes' rows are stacked.
 
         Raises MalformedFile for text that is not a JSON object, another
         version, a missing or unknown field, a header value of the wrong
@@ -274,20 +274,22 @@ class GaussianMixtureStream:
         check_type(modes, list, False, "snapshot modes", MalformedFile)
         if len(modes) != n_classes:
             raise DimensionMismatch(f"{len(modes)} modes for {n_classes} classes")
-        state = cls(n_classes, dim, doc["jitter"])
-        state.batch_counter = doc["batch_counter"]
         for c, entry in enumerate(modes):
             check_keys(entry, _MODE, f"snapshot mode {c}", MalformedFile)
-            for key, array in _MODE.items():
-                value, rows = entry[key], getattr(state, array)
+            for key, size in zip(_MODE, (1, dim, linalg.packed_size(dim))):
+                value = entry[key]
                 if not isinstance(value, np.ndarray):
                     kind = "a number" if key == "weight" else "a list of numbers"
                     raise MalformedFile(f"snapshot mode {c} {key} must be {kind}, "
                                         f"got {reprlib.repr(value)}")
-                if value.shape != rows.shape[1:]:
+                if value.size != size:
                     raise DimensionMismatch(f"mode {c}: {key} has {value.size} entries, "
-                                            f"expected {rows[c].size}")
-                rows[c] = value
+                                            f"expected {size}")
+        state = cls.__new__(cls)
+        state.n_classes, state.dim, state.batch_counter = n_classes, dim, doc["batch_counter"]
+        state.jitter = float(doc["jitter"])
+        for key, array in _MODE.items():
+            setattr(state, array, np.stack([entry[key] for entry in modes]))
         if not np.all(np.isfinite(state.mass) & (state.mass >= 0.0)):
             raise NonFiniteInput("mode weights must be finite and nonnegative")
         if not (np.all(np.isfinite(state.means)) and np.all(np.isfinite(state.cov_packed))):

@@ -7,7 +7,7 @@ entropies -> threshold calibration (first n_init batches) -> prediction
 backprop -> SGD step. Prediction and pseudo-labeling read the same
 thresholds, likelihoods and entropies, so the prediction waits for
 neither the pseudo-labels nor anything after them. Each batch is seen
-exactly once; the prediction for a batch always precedes the parameter
+once in a run; the prediction for a batch always precedes the parameter
 update it triggers.
 
 One run is sequential across batches: within one batch's step only the
@@ -98,7 +98,7 @@ def train_source_model(cfg: RunConfig, source: SourceSet) -> tuple[ToyModel, flo
 class Setup:
     """A target stream and the source model an adaptation run starts from.
 
-    Runs never mutate it: each takes its own model copy and stream pass.
+    Runs never mutate it: each takes its own model copy and pass of the stream.
     """
 
     stream: TargetStream
@@ -207,9 +207,10 @@ def run_adapt(cfg: RunConfig, out_dir: Path, *, setup: Setup | None = None) -> d
     setup, when given, must come from prepare_setup for a config with the
     same setup_key, which is how a loaded source model is passed; it is
     left unchanged. Without it, prepare_setup(cfg) trains the source model.
-    Layout, in write order: config.resolved.json (before the first
-    batch), metrics.jsonl, model.ckpt, gmm.ckpt, summary.json.
+    A config that does not validate writes nothing. Layout, in write order: config.resolved.json
+    (before the first batch), metrics.jsonl, model.ckpt, gmm.ckpt, summary.json.
     """
+    cfg.validate()
     if setup is None:
         setup = prepare_setup(cfg)
     out_dir = Path(out_dir)
@@ -218,7 +219,7 @@ def run_adapt(cfg: RunConfig, out_dir: Path, *, setup: Setup | None = None) -> d
     resolved["derived"]["source_holdout_accuracy"] = setup.holdout_acc
     (out_dir / "config.resolved.json").write_text(json.dumps(resolved, indent=2) + "\n")
 
-    result = adapt_stream(cfg, setup.model.copy(), setup.stream.restarted())
+    result = adapt_stream(cfg, setup.model.copy(), setup.stream)
     summary = result.summary(cfg)
     metrics.write_jsonl(result.records, out_dir / "metrics.jsonl")
     result.model.save(out_dir / "model.ckpt")

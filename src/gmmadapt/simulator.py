@@ -150,9 +150,9 @@ class SourceSet:
 class TargetStream:
     """Seeded batch iterator over pre-drawn target samples.
 
-    Every batch is visited exactly once, in order; a short final batch is
-    dropped so the batch size stays constant (threshold calibration assumes
-    a fixed N_b).
+    Each pass (each iter()) visits every batch exactly once, in order, from
+    the first; a short final batch is dropped so the batch size stays
+    constant (threshold calibration assumes a fixed N_b).
     """
 
     def __init__(self, inputs: np.ndarray, true_labels: np.ndarray, batch_size: int):
@@ -163,10 +163,6 @@ class TargetStream:
         self._labels = true_labels[:keep]
         self._cursor = 0
 
-    def restarted(self) -> "TargetStream":
-        """A new stream over the same samples, from the first batch."""
-        return TargetStream(self._inputs, self._labels, self.batch_size)
-
     def next_batch(self) -> StreamBatch | None:
         if self._cursor >= self.n_batches:
             return None
@@ -176,10 +172,8 @@ class TargetStream:
         return StreamBatch(self._inputs[sl], self._labels[sl], batch_index=k + 1)
 
     def __iter__(self):
-        batch = self.next_batch()
-        while batch is not None:
-            yield batch
-            batch = self.next_batch()
+        walk = TargetStream(self._inputs, self._labels, self.batch_size)  # a fresh pass
+        return iter(walk.next_batch, None)
 
 
 def class_centers(n_classes: int, dom: DomainSpec, seed: int) -> np.ndarray:

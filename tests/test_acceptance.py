@@ -36,13 +36,12 @@ def default_runs():
     for seed in range(6):
         cfg = default_config()
         cfg.seed = seed
-        source, _ = build_task(cfg)
+        source, stream = build_task(cfg)
         model0, holdout, _ = train_source_model(cfg, source)
         for mode in LOSS_MODES:
             cfg_m = default_config()
             cfg_m.seed = seed
             cfg_m.loss_mode = mode
-            _, stream = build_task(cfg_m)
             result = adapt_stream(cfg_m, model0.copy(), stream)
             runs[mode].append(
                 {

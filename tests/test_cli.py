@@ -275,6 +275,18 @@ class TestAdaptCommand:
         stored = RunConfig.from_dict(json.loads((out / "config.resolved.json").read_text()))
         assert stored == load_config(None, {"jitter": 0.0, "n_batches": 2})
 
+    def test_int_for_float_key_in_a_file_writes_what_its_flag_writes(self, tmp_path,
+                                                                     small_config):
+        doc = {**SMALL_CONFIG, "p_reject": 40, "n_batches": 6}
+        doc["domain"] = {**SMALL_CONFIG["domain"], "class_sep": 5}
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps(doc))
+        assert main(["adapt", "--config", str(path), "--out", str(tmp_path / "file")]) == 0
+        assert main(["adapt", "--config", str(small_config), "--p-reject", "40", "--n-batches",
+                     "6", "--domain-class-sep", "5", "--out", str(tmp_path / "flags")]) == 0
+        assert _tree_digests(tmp_path / "file") == _tree_digests(tmp_path / "flags")
+        assert '"p_reject": 40.0,' in (tmp_path / "file" / "config.resolved.json").read_text()
+
     def test_bad_loss_mode_is_config_error(self, tmp_path, small_config, capsys):
         out = tmp_path / "run"
         assert main(["adapt", "--config", str(small_config), "--out", str(out),

@@ -204,7 +204,9 @@ class TestValueTypes:
     def test_float_key_takes_int_or_float(self, tmp_path):
         cfg = load_doc(tmp_path, {"p_reject": 40, "temperature": 0.2,
                                   "domain": {"class_sep": 5}})
-        assert (cfg.p_reject, cfg.temperature, cfg.domain.class_sep) == (40, 0.2, 5)
+        got = (cfg.p_reject, cfg.temperature, cfg.domain.class_sep)
+        assert got == (40, 0.2, 5)
+        assert [type(value) for value in got] == [float, float, float]
 
     @pytest.mark.parametrize("doc", [{"p_reject": True}, {"lambda": "1"},
                                      {"domain": {"translation_scale": True}}],

@@ -333,9 +333,10 @@ class TestPriorInitialization:
             (lambda doc: doc["modes"][2].update(weight=float("nan")), NonFiniteInput),
             (lambda doc: doc["modes"][2].update(weight=float("inf")), NonFiniteInput),
             (lambda doc: doc["modes"][2].update(weight=-1.0), NonFiniteInput),
+            (lambda doc: doc.update(dim=10**6), DimensionMismatch),
         ],
         ids=["too_few_modes", "too_many_modes", "short_mean", "long_cov_packed",
-             "nan_weight", "inf_weight", "negative_weight"],
+             "nan_weight", "inf_weight", "negative_weight", "huge_dim"],
     )
     def test_malformed_snapshot_rejected_at_load(self, edit, error):
         rng = np.random.default_rng(4)

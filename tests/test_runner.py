@@ -47,7 +47,7 @@ def perturbed(path, typ, value):
 def setup_digest(cfg) -> str:
     setup = runner.prepare_setup(cfg)
     h = hashlib.sha256()
-    for batch in setup.stream.restarted():
+    for batch in setup.stream:
         h.update(batch.inputs.tobytes() + batch.true_labels.tobytes())
     for name in sorted(setup.model.params):
         h.update(setup.model.params[name].tobytes() + setup.model.velocity[name].tobytes())
@@ -151,3 +151,11 @@ class TestConfigEditedInPlace:
         cfg.temperature = float("nan")
         with pytest.raises(ConfigError, match=r"^temperature must be finite, got nan$"):
             start(cfg, setup)
+
+    def test_nan_is_config_error_before_run_adapt_writes(self, tmp_path):
+        cfg = load_config(None, TINY)
+        setup = runner.prepare_setup(cfg)
+        cfg.temperature = float("nan")
+        with pytest.raises(ConfigError, match=r"^temperature must be finite, got nan$"):
+            runner.run_adapt(cfg, tmp_path / "run", setup=setup)
+        assert not (tmp_path / "run").exists()

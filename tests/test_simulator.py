@@ -270,6 +270,15 @@ class TestMakeTask:
         assert stream.n_batches == 6
         assert sum(1 for _ in stream) == 6
 
+    def test_each_pass_yields_every_batch_from_the_first(self):
+        shift = ShiftSpec("OPDA", 3, 2, 2)
+        _, stream = make_task(shift, default_domain(), seed=5, n_batches=4, batch_size=8)
+        first, again = list(stream), list(stream)
+        assert [b.batch_index for b in again] == [1, 2, 3, 4]
+        for a, b in zip(first, again, strict=True):
+            np.testing.assert_array_equal(a.inputs, b.inputs)
+            np.testing.assert_array_equal(a.true_labels, b.true_labels)
+
     def test_class_frequencies_uniform_within_3_sigma(self):
         shift = ShiftSpec("OPDA", 6, 3, 3)
         n_batches, batch = 100, 64
